@@ -73,21 +73,6 @@ class Rng {
   /// correlations between streams.
   Rng Fork();
 
-  /// \brief Reconstructs a generator from a raw 256-bit xoshiro state (as
-  /// produced by ExportState). Used by RngLanes to hand a lane's stream to
-  /// scalar samplers and take it back; the Gaussian pair cache is NOT part
-  /// of the exported state (no lane sampler draws Gaussians).
-  static Rng FromState(const std::uint64_t state[4]) {
-    Rng rng(0);
-    for (int w = 0; w < 4; ++w) rng.s_[w] = state[w];
-    return rng;
-  }
-
-  /// \brief Copies the raw 256-bit xoshiro state into `out`.
-  void ExportState(std::uint64_t out[4]) const {
-    for (int w = 0; w < 4; ++w) out[w] = s_[w];
-  }
-
   /// \brief Uniform double in [0, 1) with 53 random bits.
   double UniformDouble() {
     // 53 high bits -> uniform in [0, 1) on the representable grid.
@@ -173,6 +158,9 @@ class Rng {
                                      std::vector<std::uint32_t>* out);
 
  private:
+  // RngLanes seeds lane l with the state of Rng(LaneSeed(seed, l)).
+  friend class RngLanes;
+
   static std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

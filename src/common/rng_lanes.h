@@ -156,9 +156,8 @@ class RngLanes {
   /// Lane l's stream is exactly Rng(LaneSeed(seed, l))'s stream.
   explicit RngLanes(std::uint64_t seed) {
     for (std::size_t l = 0; l < kLanes; ++l) {
-      std::uint64_t state[4];
-      Rng(LaneSeed(seed, l)).ExportState(state);
-      for (int w = 0; w < 4; ++w) s_[w][l] = state[w];
+      const Rng lane(LaneSeed(seed, l));
+      for (int w = 0; w < 4; ++w) s_[w][l] = lane.s_[w];
     }
   }
 
@@ -241,23 +240,6 @@ class RngLanes {
   /// \brief Array form of UniformVec.
   void UniformDoubleLanes(double out[kLanes]) {
     lanes::Store(out, UniformVec());
-  }
-
-  /// \brief Hands lane `lane`'s stream to a scalar Rng (for samplers that
-  /// resist vectorization, e.g. GenericPlan's virtual fallback). Pair
-  /// with InjectLane to resume the lane where the scalar consumer left
-  /// off; the Rng's Gaussian pair cache is not carried either way.
-  Rng ExtractLane(std::size_t lane) const {
-    std::uint64_t state[4];
-    for (int w = 0; w < 4; ++w) state[w] = s_[w][lane];
-    return Rng::FromState(state);
-  }
-
-  /// \brief Writes a scalar Rng's stream position back into lane `lane`.
-  void InjectLane(std::size_t lane, const Rng& rng) {
-    std::uint64_t state[4];
-    rng.ExportState(state);
-    for (int w = 0; w < 4; ++w) s_[w][lane] = state[w];
   }
 
  private:

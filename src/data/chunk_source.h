@@ -106,6 +106,14 @@ class ChunkSource {
     return begin >= n ? 0 : std::min(kUsersPerChunk, n - begin);
   }
 
+  /// Users outside the `quarantined` chunks: the population an estimate
+  /// that skipped those chunks covers.
+  std::size_t SurvivingUsers(std::span<const std::size_t> quarantined) const {
+    std::size_t users = num_users();
+    for (const std::size_t c : quarantined) users -= ChunkUsers(c);
+    return users;
+  }
+
   /// \brief Rows of chunk `chunk` — ChunkUsers(chunk) * num_dims()
   /// doubles, row-major. Thread-safe for concurrent pulls with distinct
   /// buffers; the span stays valid until the same buffer's next use.

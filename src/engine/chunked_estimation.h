@@ -93,35 +93,6 @@ struct SampledChunkScratch {
 /// simulates).
 SampledChunkScratch& PerWorkerSampledScratch();
 
-/// \brief Configuration shared by every chunked estimation run.
-struct EngineOptions {
-  /// Seed of the run; all chunk streams derive from it.
-  std::uint64_t seed = 1;
-  /// RNG stream contract of the run (see common/rng_lanes.h), the
-  /// single source a workload body dispatches on (via
-  /// ChunkedEstimation::options()): the engine's lane drivers implement
-  /// kV3Batched (the default; dense chunks are laid out exactly as
-  /// kV2Lanes, sampled chunks batch entries across users) and the legacy
-  /// kV2Lanes per-user sampled layout, while pipelines keep their own
-  /// frozen kV1Scalar bodies (on ScalarStream) for pre-lane-era
-  /// reproducibility.
-  SeedScheme seed_scheme = SeedScheme::kV3Batched;
-  /// Maximum worker threads simulating chunks concurrently on the shared
-  /// ThreadPool (0 = one per hardware thread). Affects wall-clock time
-  /// only, never the estimates.
-  std::size_t num_threads = 1;
-  /// Retry behaviour for chunks that fail with kUnavailable (transient
-  /// I/O faults). Recovered retries never change estimates — the chunk
-  /// body re-derives its streams from the chunk seed and the scratch is
-  /// reset per attempt.
-  RetryPolicy retry;
-  /// Explicit opt-in: quarantine chunks that still fail after retries
-  /// (kUnavailable / kDataLoss) instead of failing the run. Estimates
-  /// then cover surviving users only; pipelines report the quarantined
-  /// chunk indices in their results.
-  bool allow_missing_chunks = false;
-};
-
 /// \brief One chunk of the schedule: its index, user range and stream
 /// seed. A pure function of (num_users, seed, chunk).
 struct ChunkRange {
@@ -200,15 +171,12 @@ class ChunkedEstimation {
   Result<Acc> ReduceResumable(MakeAcc&& make_acc, Body&& body,
                               const CheckpointHooks<Acc>& hooks,
                               std::vector<std::size_t>* quarantined) const {
-    ReduceControls controls;
-    controls.retry = options_.retry;
-    controls.allow_missing_chunks = options_.allow_missing_chunks;
     return ReduceChunksResumable<Acc>(
-        num_chunks_, options_.num_threads, std::forward<MakeAcc>(make_acc),
+        num_chunks_, options_, std::forward<MakeAcc>(make_acc),
         [this, &body](std::size_t c, Acc* scratch) {
           return body(Range(c), scratch);
         },
-        controls, hooks, quarantined);
+        hooks, quarantined);
   }
 
   /// \brief Dense per-chunk driver (every dimension reported): streams

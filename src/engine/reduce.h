@@ -7,7 +7,7 @@
 // into a scratch accumulator and the scratches merge through a two-level
 // tree whose shape is a pure function of the chunk count — never of the
 // worker count. That is what makes estimates identical for every
-// max_concurrency value while capping the live reduction footprint at
+// worker count while capping the live reduction footprint at
 // kMaxReductionGroups accumulators no matter how many chunks a
 // million-user run splits into.
 
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 
@@ -63,14 +64,40 @@ struct RetryPolicy {
   std::function<std::uint64_t()> now_ms;
 };
 
-/// \brief Failure-handling knobs of one reduction run.
-struct ReduceControls {
+/// \brief The run configuration every batch estimator shares: n users,
+/// one seed, one stream contract, and how chunks are scheduled and
+/// failures handled. protocol::PipelineOptions derives from it (adding
+/// the budget, m, checkpoint path and report encoding), and
+/// freq::FrequencyOptions and hdr4me::VarianceOptions derive from that,
+/// so each field is declared once and a pipeline hands its options to
+/// ChunkedEstimation by slicing.
+struct EngineOptions {
+  /// Seed of the run; all chunk streams derive from it. Estimates are a
+  /// pure function of (data, options minus num_threads).
+  std::uint64_t seed = 1;
+  /// RNG stream contract of the run (see common/rng_lanes.h), the
+  /// single source a workload body dispatches on (via
+  /// ChunkedEstimation::options()): the engine's lane drivers implement
+  /// kV3Batched (the default; dense chunks are laid out exactly as
+  /// kV2Lanes, sampled chunks batch entries across users) and the legacy
+  /// kV2Lanes per-user sampled layout, while pipelines keep their own
+  /// frozen kV1Scalar bodies (on ScalarStream) for pre-lane-era
+  /// reproducibility.
+  SeedScheme seed_scheme = SeedScheme::kV3Batched;
+  /// Maximum worker threads simulating chunks concurrently on the shared
+  /// ThreadPool (0 = one per hardware thread). Affects wall-clock time
+  /// only, never the estimates.
+  std::size_t num_threads = 1;
+  /// Retry behaviour for chunks that fail with kUnavailable (transient
+  /// I/O faults). Recovered retries never change estimates — the chunk
+  /// body re-derives its streams from the chunk seed and the scratch is
+  /// reset per attempt.
   RetryPolicy retry;
-  /// When set, a chunk whose final attempt fails with kUnavailable or
-  /// kDataLoss is quarantined — skipped and reported — instead of
-  /// failing the run. Estimates then cover the surviving users only;
-  /// callers opt in explicitly (the CLI flag --allow-missing-chunks)
-  /// because it changes the estimand. Other codes always fail the run.
+  /// Explicit opt-in: quarantine chunks whose final attempt fails with
+  /// kUnavailable or kDataLoss instead of failing the run (the CLI flag
+  /// --allow-missing-chunks). Estimates then cover surviving users only;
+  /// pipelines report the quarantined chunk indices in their results.
+  /// Other codes always fail the run.
   bool allow_missing_chunks = false;
 };
 
@@ -148,21 +175,20 @@ inline ReductionGeometry GroupGeometry(std::size_t num_chunks) {
 /// simulates its chunks in chunk order into a reused scratch and merges
 /// each scratch into the group accumulator; the group accumulators then
 /// merge in group order. Estimates are therefore identical for every
-/// `max_concurrency` (0 = one per hardware thread). The first failing
+/// `options.num_threads` (0 = one per hardware thread). The first failing
 /// chunk's Status is returned (by lowest group; later chunks of a failed
 /// group are skipped).
 ///
-/// `controls` adds fault tolerance: kUnavailable chunk failures retry
-/// per `controls.retry`, and under `controls.allow_missing_chunks`
+/// `options` adds fault tolerance: kUnavailable chunk failures retry
+/// per `options.retry`, and under `options.allow_missing_chunks`
 /// chunks that still fail (kUnavailable / kDataLoss) are quarantined —
 /// skipped, collected into *quarantined_out sorted ascending — instead
 /// of failing the run. `hooks` adds checkpoint/resume at group
 /// granularity (see CheckpointHooks).
 template <typename Acc, typename MakeAcc, typename Body>
 Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
-                                  std::size_t max_concurrency,
+                                  const EngineOptions& options,
                                   MakeAcc&& make_acc, Body&& body,
-                                  const ReduceControls& controls,
                                   const CheckpointHooks<Acc>& hooks,
                                   std::vector<std::size_t>* quarantined_out) {
   HDLDP_ASSIGN_OR_RETURN(Acc global, make_acc());
@@ -177,7 +203,7 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
     HDLDP_ASSIGN_OR_RETURN(Acc local, make_acc());
     group_locals.push_back(std::move(local));
   }
-  const int max_attempts = std::max(1, controls.retry.max_attempts);
+  const int max_attempts = std::max(1, options.retry.max_attempts);
   ThreadPool::Shared().ParallelFor(
       0, geometry.num_groups,
       [&](std::size_t g) {
@@ -213,7 +239,7 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
         }
         Acc scratch = std::move(scratch_or).value();
         const auto clock_now_ms = [&]() -> std::uint64_t {
-          if (controls.retry.now_ms) return controls.retry.now_ms();
+          if (options.retry.now_ms) return options.retry.now_ms();
           return static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::milliseconds>(
                   std::chrono::steady_clock::now().time_since_epoch())
@@ -230,22 +256,22 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
                 attempt == max_attempts) {
               break;
             }
-            if (controls.retry.max_total_backoff_ms > 0) {
+            if (options.retry.max_total_backoff_ms > 0) {
               const std::uint64_t now = clock_now_ms();
               if (!retry_epoch_ms.has_value()) {
                 retry_epoch_ms = now;  // Deadline arms at the first failure.
               } else if (now - *retry_epoch_ms >=
-                         controls.retry.max_total_backoff_ms) {
+                         options.retry.max_total_backoff_ms) {
                 break;  // Out of wall-clock budget: fail as-is, no retry.
               }
             }
             const std::uint64_t backoff_ms =
-                controls.retry.initial_backoff_ms == 0
+                options.retry.initial_backoff_ms == 0
                     ? 0
-                    : controls.retry.initial_backoff_ms
+                    : options.retry.initial_backoff_ms
                           << (static_cast<unsigned>(attempt) - 1);
-            if (controls.retry.sleep) {
-              controls.retry.sleep(backoff_ms);
+            if (options.retry.sleep) {
+              options.retry.sleep(backoff_ms);
             } else if (backoff_ms > 0) {
               std::this_thread::sleep_for(
                   std::chrono::milliseconds(backoff_ms));
@@ -255,7 +281,7 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
             const bool quarantinable =
                 status.code() == StatusCode::kUnavailable ||
                 status.code() == StatusCode::kDataLoss;
-            if (!(controls.allow_missing_chunks && quarantinable)) {
+            if (!(options.allow_missing_chunks && quarantinable)) {
               statuses[g] = status;
               return;
             }
@@ -275,7 +301,7 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
           }
         }
       },
-      max_concurrency);
+      options.num_threads);
   for (std::size_t g = 0; g < geometry.num_groups; ++g) {
     HDLDP_RETURN_NOT_OK(statuses[g]);
     HDLDP_RETURN_NOT_OK(global.Merge(group_locals[g]));
@@ -296,10 +322,11 @@ Result<Acc> ReduceChunksResumable(std::size_t num_chunks,
 template <typename Acc, typename MakeAcc, typename Body>
 Result<Acc> ReduceChunks(std::size_t num_chunks, std::size_t max_concurrency,
                          MakeAcc&& make_acc, Body&& body) {
+  EngineOptions options;
+  options.num_threads = max_concurrency;
   return ReduceChunksResumable<Acc>(
-      num_chunks, max_concurrency, std::forward<MakeAcc>(make_acc),
-      std::forward<Body>(body), ReduceControls{}, CheckpointHooks<Acc>{},
-      nullptr);
+      num_chunks, options, std::forward<MakeAcc>(make_acc),
+      std::forward<Body>(body), CheckpointHooks<Acc>{}, nullptr);
 }
 
 }  // namespace engine

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "common/math.h"
 #include "common/rng.h"
@@ -14,7 +14,6 @@
 #include "protocol/aggregator.h"
 #include "protocol/budget.h"
 #include "protocol/metrics.h"
-#include "protocol/snapshot.h"
 
 namespace hdldp {
 namespace freq {
@@ -99,14 +98,17 @@ Result<std::vector<std::vector<double>>> SourceTrueFrequencies(
   for (std::size_t j = 0; j < d; ++j) {
     freqs[j].assign(schema.Cardinality(j), 0.0);
   }
+  const std::size_t surviving = source.SurvivingUsers(quarantined);
+  if (surviving == 0) {
+    return Status::FailedPrecondition(
+        "every chunk was quarantined; no surviving users to estimate");
+  }
   data::ChunkBuffer buffer;
-  std::size_t surviving = source.num_users();
   std::size_t next_quarantined = 0;
   for (std::size_t c = 0; c < source.num_chunks(); ++c) {
     if (next_quarantined < quarantined.size() &&
         quarantined[next_quarantined] == c) {
       ++next_quarantined;
-      surviving -= source.ChunkUsers(c);
       continue;
     }
     HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
@@ -118,10 +120,6 @@ Result<std::vector<std::vector<double>>> SourceTrueFrequencies(
       }
     }
   }
-  if (surviving == 0) {
-    return Status::FailedPrecondition(
-        "every chunk was quarantined; no surviving users to estimate");
-  }
   const auto n = static_cast<double>(surviving);
   for (auto& f : freqs) {
     for (double& v : f) v /= n;
@@ -129,43 +127,47 @@ Result<std::vector<std::vector<double>>> SourceTrueFrequencies(
   return freqs;
 }
 
-// The legacy kV1Scalar ingestion loop: one scalar stream, per-entry
-// virtual Perturb, exactly the pre-lane-era draw order — chunks are
-// pulled in order and walked serially, so the draw sequence matches the
-// old whole-dataset loop user for user. Frozen so runs recorded under
+// The legacy kV1Scalar ingestion loop: one scalar stream, exactly the
+// pre-lane-era draw order — chunks are pulled in order and walked
+// serially, so the draw sequence matches the old whole-dataset loop user
+// for user. Each entry draws through `plan`, which is bit-identical to
+// the mechanism's Perturb (tests/test_plan.cc), so runs recorded under
 // v1 seeds keep their outputs bit for bit.
 Status IngestV1Scalar(const engine::ChunkedEstimation& core,
                       const CategoricalSchema& schema,
-                      const mech::Mechanism& mechanism,
-                      const mech::DomainMap& map, double per_entry_eps,
-                      std::uint64_t seed, std::size_t m,
+                      const mech::SamplerPlan& plan,
+                      const mech::DomainMap& map, std::size_t m,
                       std::vector<NeumaierSum>* sums,
                       std::vector<std::int64_t>* dim_reports) {
   const std::size_t d = schema.num_dims();
-  Rng rng(seed);
+  const double natives[2] = {map.Forward(0.0), map.Forward(1.0)};
+  Rng rng(core.options().seed);
   std::vector<std::uint32_t> sampled;
-  for (std::size_t c = 0; c < core.num_chunks(); ++c) {
-    const engine::ChunkRange range = core.Range(c);
-    HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                           core.ChunkRows(range));
-    HDLDP_RETURN_NOT_OK(ValidateCategoricalChunk(rows, schema, range.chunk));
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      const double* row = rows.data() + (i - range.begin) * d;
-      sampled.clear();
-      rng.SampleWithoutReplacement(d, m, &sampled);
-      for (const std::uint32_t j : sampled) {
-        ++(*dim_reports)[j];
-        const std::size_t off = schema.EntryOffset(j);
-        const auto category = static_cast<std::uint32_t>(row[j]);
-        for (std::size_t k = 0; k < schema.Cardinality(j); ++k) {
-          const double entry = k == category ? 1.0 : 0.0;
-          (*sums)[off + k].Add(
-              mechanism.Perturb(map.Forward(entry), per_entry_eps, &rng));
+  return std::visit(
+      [&](const auto& p) -> Status {
+        for (std::size_t c = 0; c < core.num_chunks(); ++c) {
+          const engine::ChunkRange range = core.Range(c);
+          HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
+                                 core.ChunkRows(range));
+          HDLDP_RETURN_NOT_OK(
+              ValidateCategoricalChunk(rows, schema, range.chunk));
+          for (std::size_t i = range.begin; i < range.end; ++i) {
+            const double* row = rows.data() + (i - range.begin) * d;
+            sampled.clear();
+            rng.SampleWithoutReplacement(d, m, &sampled);
+            for (const std::uint32_t j : sampled) {
+              ++(*dim_reports)[j];
+              const std::size_t off = schema.EntryOffset(j);
+              const auto category = static_cast<std::uint32_t>(row[j]);
+              for (std::size_t k = 0; k < schema.Cardinality(j); ++k) {
+                (*sums)[off + k].Add(p(natives[k == category], &rng));
+              }
+            }
+          }
         }
-      }
-    }
-  }
-  return Status::OK();
+        return Status::OK();
+      },
+      plan);
 }
 
 // Exact integer accumulator of the frequency-oracle path: per-entry
@@ -195,16 +197,28 @@ struct OracleAccumulator {
   }
 };
 
-// The frequency-oracle (OUE / OLH) ingestion + decode + recalibration
-// path. Draw layout (the "compact encodings" stream contract in
-// common/rng_lanes.h): one scalar stream per chunk, per user a Floyd
-// m-of-d sample walked in draw order, then per sampled dimension the
-// encoder draws of freq/encoding.h — inlined here as direct support-count
-// updates, draw for draw identical to OueEncodeDim / OlhEncodeDim, so
-// the wire encoders and this simulation share one frozen layout.
-Result<FrequencyEstimationResult> RunOracleEstimation(
-    const data::ChunkSource& source, const CategoricalSchema& schema,
-    const FrequencyOptions& options, std::size_t m) {
+// What an ingestion path hands the shared tail of RunFrequencyEstimation:
+// the naive flat estimate, its per-entry deviation model for HDR4ME, and
+// the run's fault-tolerance outcome.
+struct Ingested {
+  std::vector<double> raw_flat;
+  std::vector<framework::GaussianDeviation> deviations;
+  double per_entry_epsilon = 0.0;
+  std::vector<std::size_t> quarantined_chunks;
+  bool resumed = false;
+};
+
+// The frequency-oracle (OUE / OLH) ingestion and decode path. Draw layout
+// (the "compact encodings" stream contract in common/rng_lanes.h): one
+// scalar stream per chunk, per user a Floyd m-of-d sample walked in draw
+// order, then per sampled dimension the encoder draws of freq/encoding.h
+// — inlined here as direct support-count updates, draw for draw
+// identical to OueEncodeDim / OlhEncodeDim, so the wire encoders and this
+// simulation share one frozen layout.
+Result<Ingested> IngestOracle(const engine::ChunkedEstimation& core,
+                              const CategoricalSchema& schema,
+                              const FrequencyOptions& options,
+                              std::size_t m) {
   if (!options.checkpoint_path.empty()) {
     return Status::InvalidArgument(
         "frequency-oracle encodings do not support checkpointing; drop "
@@ -230,15 +244,8 @@ Result<FrequencyEstimationResult> RunOracleEstimation(
   const double p_tilde = use_oue ? oue.p : olh.p;
   const double q_tilde = use_oue ? oue.q : 1.0 / static_cast<double>(olh.g);
 
-  engine::EngineOptions engine_options;
-  engine_options.seed = options.seed;
-  engine_options.seed_scheme = options.seed_scheme;
-  engine_options.num_threads = options.num_threads;
-  engine_options.retry = options.retry;
-  engine_options.allow_missing_chunks = options.allow_missing_chunks;
-  const engine::ChunkedEstimation core(source, engine_options);
-
-  std::vector<std::size_t> quarantined_chunks;
+  Ingested out;
+  out.per_entry_epsilon = per_dim_eps;
   HDLDP_ASSIGN_OR_RETURN(
       const OracleAccumulator acc,
       core.ReduceResumable<OracleAccumulator>(
@@ -290,7 +297,8 @@ Result<FrequencyEstimationResult> RunOracleEstimation(
             }
             return Status::OK();
           },
-          engine::CheckpointHooks<OracleAccumulator>{}, &quarantined_chunks));
+          engine::CheckpointHooks<OracleAccumulator>{},
+          &out.quarantined_chunks));
 
   for (std::size_t j = 0; j < d; ++j) {
     if (acc.dim_reports[j] == 0) {
@@ -306,98 +314,45 @@ Result<FrequencyEstimationResult> RunOracleEstimation(
   // so the estimator (count/r - q-tilde)/(p-tilde - q-tilde) has stddev
   // sqrt(p_k (1 - p_k) / r) / (p-tilde - q-tilde) — fed straight to
   // HDR4ME in place of the numeric path's mechanism moment model.
-  std::vector<double> raw_flat(total_entries, 0.0);
-  std::vector<framework::GaussianDeviation> deviations;
-  deviations.reserve(total_entries);
+  out.raw_flat.assign(total_entries, 0.0);
+  out.deviations.reserve(total_entries);
   const double gain = p_tilde - q_tilde;
   for (std::size_t j = 0; j < d; ++j) {
     const std::size_t off = schema.EntryOffset(j);
     const double r = static_cast<double>(acc.dim_reports[j]);
     for (std::size_t k = 0; k < schema.Cardinality(j); ++k) {
-      raw_flat[off + k] =
+      out.raw_flat[off + k] =
           (static_cast<double>(acc.counts[off + k]) / r - q_tilde) / gain;
-      const double f = Clamp(raw_flat[off + k], 0.0, 1.0);
+      const double f = Clamp(out.raw_flat[off + k], 0.0, 1.0);
       const double p_k = f * p_tilde + (1.0 - f) * q_tilde;
       framework::GaussianDeviation deviation;
       deviation.mean = 0.0;
       deviation.stddev = std::sqrt(p_k * (1.0 - p_k) / r) / gain;
-      deviations.push_back(deviation);
+      out.deviations.push_back(deviation);
     }
   }
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdr4me::RecalibrationResult recal,
-      hdr4me::Recalibrate(raw_flat, deviations, options.hdr4me));
-
-  FrequencyEstimationResult result;
-  result.per_entry_epsilon = per_dim_eps;
-  HDLDP_ASSIGN_OR_RETURN(
-      result.true_frequencies,
-      SourceTrueFrequencies(source, schema, quarantined_chunks));
-  result.quarantined_chunks = std::move(quarantined_chunks);
-  result.surviving_users = source.num_users();
-  for (const std::size_t c : result.quarantined_chunks) {
-    result.surviving_users -= source.ChunkUsers(c);
-  }
-  result.raw = Unflatten(raw_flat, schema);
-  result.recalibrated = Unflatten(recal.enhanced_mean, schema);
-  if (options.clip_and_normalize) {
-    ClipAndNormalize(schema, &result.raw);
-    ClipAndNormalize(schema, &result.recalibrated);
-  }
-  const std::vector<double> truth = Flatten(result.true_frequencies);
-  HDLDP_ASSIGN_OR_RETURN(
-      result.mse_raw, protocol::MeanSquaredError(Flatten(result.raw), truth));
-  HDLDP_ASSIGN_OR_RETURN(
-      result.mse_recalibrated,
-      protocol::MeanSquaredError(Flatten(result.recalibrated), truth));
-  return result;
+  return out;
 }
 
-}  // namespace
-
-Result<FrequencyEstimationResult> RunFrequencyEstimation(
-    const data::ChunkSource& source, const CategoricalSchema& schema,
-    mech::MechanismPtr mechanism, const FrequencyOptions& options) {
-  const bool oracle = options.encoding == protocol::ReportEncoding::kOue ||
-                      options.encoding == protocol::ReportEncoding::kOlh;
-  if (options.encoding == protocol::ReportEncoding::kHadamard1) {
-    return Status::InvalidArgument(
-        "hadamard1 is a mean encoding; frequency estimation supports "
-        "dense|sampled|oue|olh");
-  }
-  if (mechanism == nullptr && !oracle) {
-    return Status::InvalidArgument("frequency estimation requires a mechanism");
-  }
-  if (source.num_dims() != schema.num_dims()) {
-    return Status::InvalidArgument(
-        "categorical source width does not match schema");
-  }
+// The numeric ingestion path: every one-hot entry of a sampled dimension
+// perturbed by `mechanism` at eps/(2m), plus the Lemma 3 deviation model.
+Result<Ingested> IngestNumeric(const engine::ChunkedEstimation& core,
+                               const CategoricalSchema& schema,
+                               const mech::Mechanism& mechanism,
+                               const FrequencyOptions& options,
+                               std::size_t m) {
   const std::size_t d = schema.num_dims();
-  const std::size_t m = options.report_dims == 0 ? d : options.report_dims;
-  if (m > d) {
-    return Status::InvalidArgument("report_dims exceeds categorical dims");
-  }
-  if (oracle) {
-    return RunOracleEstimation(source, schema, options, m);
-  }
   // [37]: a one-hot dimension has L1 sensitivity 2, so eps/(2m) per entry
   // composes to eps over a report.
   HDLDP_ASSIGN_OR_RETURN(
       const double per_entry_eps,
       protocol::BudgetAccountant::PerEntryBudget(options.total_epsilon, m));
-  HDLDP_RETURN_NOT_OK(mechanism->ValidateBudget(per_entry_eps));
+  HDLDP_RETURN_NOT_OK(mechanism.ValidateBudget(per_entry_eps));
   // Encoded entries live in [0, 1]; map onto the mechanism's native domain.
   const mech::Interval entry_domain{0.0, 1.0};
   HDLDP_ASSIGN_OR_RETURN(
       const mech::DomainMap map,
-      mech::DomainMap::Between(entry_domain, mechanism->InputDomain()));
-
-  const std::size_t total_entries = schema.total_entries();
-  std::vector<double> raw_flat(total_entries, 0.0);
-  std::vector<std::int64_t> dim_reports(d, 0);
-  std::vector<std::size_t> quarantined_chunks;
-  bool resumed = false;
-
+      mech::DomainMap::Between(entry_domain, mechanism.InputDomain()));
   if (options.seed_scheme == SeedScheme::kV1Scalar &&
       !options.checkpoint_path.empty()) {
     return Status::InvalidArgument(
@@ -406,25 +361,22 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
         "tree");
   }
 
-  engine::EngineOptions engine_options;
-  engine_options.seed = options.seed;
-  engine_options.seed_scheme = options.seed_scheme;
-  engine_options.num_threads = options.num_threads;
-  engine_options.retry = options.retry;
-  engine_options.allow_missing_chunks = options.allow_missing_chunks;
-  const engine::ChunkedEstimation core(source, engine_options);
-
+  const std::size_t total_entries = schema.total_entries();
+  const mech::SamplerPlan plan = mechanism.MakePlan(per_entry_eps);
+  Ingested out;
+  out.per_entry_epsilon = per_entry_eps;
+  std::vector<std::int64_t> dim_reports(d, 0);
   if (options.seed_scheme == SeedScheme::kV1Scalar) {
     std::vector<NeumaierSum> sums(total_entries);
-    HDLDP_RETURN_NOT_OK(IngestV1Scalar(core, schema, *mechanism, map,
-                                       per_entry_eps, options.seed, m, &sums,
-                                       &dim_reports));
+    HDLDP_RETURN_NOT_OK(
+        IngestV1Scalar(core, schema, plan, map, m, &sums, &dim_reports));
     // Naive aggregation: per-entry mean mapped back to [0, 1].
+    out.raw_flat.assign(total_entries, 0.0);
     for (std::size_t j = 0; j < d; ++j) {
       const std::size_t off = schema.EntryOffset(j);
       const double r = static_cast<double>(dim_reports[j]);
       for (std::size_t k = 0; k < schema.Cardinality(j); ++k) {
-        raw_flat[off + k] =
+        out.raw_flat[off + k] =
             r == 0.0 ? 0.0 : map.Backward(sums[off + k].Total() / r);
       }
     }
@@ -433,67 +385,26 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
     // chunk, lane) stream seeding, plan dispatch (including the v3
     // cross-user sampled batching) and the deterministic reduction tree;
     // the lambdas below only define the one-hot encoding of a user row.
-    const mech::SamplerPlan plan = mechanism->MakePlan(per_entry_eps);
     const double native_zero = map.Forward(0.0);
     const double native_one = map.Forward(1.0);
-    // Checkpointing: bind a SnapshotFile keyed by the run configuration
-    // (everything the estimates depend on — thread count deliberately
-    // excluded) and translate between the codec's opaque group records
-    // and the aggregator's exact state.
-    std::optional<protocol::SnapshotFile> snapshot;
-    engine::CheckpointHooks<protocol::MeanAggregator> hooks;
-    if (!options.checkpoint_path.empty()) {
-      protocol::RunDigest digest;
-      digest.AddString("freq");
-      digest.AddString(mechanism->Name());
-      digest.AddF64(options.total_epsilon);
-      digest.AddU64(m);
-      digest.AddU64(options.seed);
-      digest.AddU64(static_cast<std::uint64_t>(options.seed_scheme));
-      digest.AddU64(source.num_users());
-      digest.AddU64(d);
-      digest.AddU64(total_entries);
-      for (std::size_t j = 0; j < d; ++j) {
-        digest.AddU64(schema.Cardinality(j));
-      }
-      digest.AddU64(options.allow_missing_chunks ? 1 : 0);
-      HDLDP_ASSIGN_OR_RETURN(
-          protocol::SnapshotFile file,
-          protocol::SnapshotFile::Open(options.checkpoint_path, digest.bytes));
-      snapshot.emplace(std::move(file));
-      hooks.load = [&snapshot, total_entries, map](std::size_t group)
-          -> Result<std::optional<
-              engine::GroupCheckpoint<protocol::MeanAggregator>>> {
-        const std::optional<protocol::SnapshotFile::GroupState> state =
-            snapshot->Load(group);
-        if (!state.has_value()) {
-          return std::optional<
-              engine::GroupCheckpoint<protocol::MeanAggregator>>();
-        }
-        HDLDP_ASSIGN_OR_RETURN(
-            protocol::MeanAggregator acc,
-            protocol::MeanAggregator::Create(total_entries, map));
-        HDLDP_RETURN_NOT_OK(acc.RestoreState(state->acc_state));
-        return std::optional<
-            engine::GroupCheckpoint<protocol::MeanAggregator>>(
-            engine::GroupCheckpoint<protocol::MeanAggregator>{
-                state->chunks_done, state->quarantined, std::move(acc)});
-      };
-      hooks.save = [&snapshot](std::size_t group, std::size_t chunks_done,
-                               const std::vector<std::size_t>& quarantined,
-                               const protocol::MeanAggregator& acc) -> Status {
-        std::vector<unsigned char> bytes;
-        acc.SerializeState(&bytes);
-        return snapshot->Save(group, chunks_done, quarantined, bytes);
-      };
+    protocol::RunDigest digest;
+    digest.AddString("freq");
+    digest.AddString(mechanism.Name());
+    digest.AddF64(options.total_epsilon);
+    digest.AddU64(m);
+    digest.AddU64(options.seed);
+    digest.AddU64(static_cast<std::uint64_t>(options.seed_scheme));
+    digest.AddU64(core.num_users());
+    digest.AddU64(d);
+    digest.AddU64(total_entries);
+    for (std::size_t j = 0; j < d; ++j) {
+      digest.AddU64(schema.Cardinality(j));
     }
-    resumed = snapshot.has_value() && snapshot->resumed();
+    digest.AddU64(options.allow_missing_chunks ? 1 : 0);
     HDLDP_ASSIGN_OR_RETURN(
-        const protocol::MeanAggregator aggregator,
-        core.ReduceResumable<protocol::MeanAggregator>(
-            [&] {
-              return protocol::MeanAggregator::Create(total_entries, map);
-            },
+        protocol::CheckpointedReduce reduced,
+        protocol::ReduceCheckpointed(
+            core, total_entries, map, options.checkpoint_path, digest,
             [&](const engine::ChunkRange& range,
                 protocol::MeanAggregator* scratch) -> Status {
               HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
@@ -560,21 +471,16 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
                       base += cardinality;
                     }
                   });
-            },
-            hooks, &quarantined_chunks));
-    // The run completed; its checkpoint is spent.
-    if (snapshot.has_value()) {
-      HDLDP_RETURN_NOT_OK(snapshot->Close());
-      HDLDP_RETURN_NOT_OK(
-          protocol::SnapshotFile::Remove(options.checkpoint_path));
-    }
+            }));
     // Every entry of dimension j is perturbed on each of its reports, so
     // the first entry's count is the dimension's report count r_j, and
     // EstimatedMean is exactly the per-entry Backward(sum / r).
-    raw_flat = aggregator.EstimatedMean();
+    out.raw_flat = reduced.aggregator.EstimatedMean();
     for (std::size_t j = 0; j < d; ++j) {
-      dim_reports[j] = aggregator.ReportCount(schema.EntryOffset(j));
+      dim_reports[j] = reduced.aggregator.ReportCount(schema.EntryOffset(j));
     }
+    out.quarantined_chunks = std::move(reduced.quarantined_chunks);
+    out.resumed = reduced.resumed;
   }
 
   for (std::size_t j = 0; j < d; ++j) {
@@ -586,47 +492,77 @@ Result<FrequencyEstimationResult> RunFrequencyEstimation(
     }
   }
 
-  // HDR4ME re-calibration over the expanded space. Each entry's original
-  // values are Bernoulli(f); plug in the (clamped) raw estimate as f for
-  // the Lemma 3 value distribution. The per-atom mechanism moments are
-  // shared by every entry (the support is always {0, 1} at one eps), so
-  // they are evaluated once through DeviationModelBuilder instead of per
-  // entry — bit-identical to the per-entry ModelDeviation calls it
-  // replaces.
+  // Each entry's original values are Bernoulli(f); plug in the (clamped)
+  // raw estimate as f for the Lemma 3 value distribution. The per-atom
+  // mechanism moments are shared by every entry (the support is always
+  // {0, 1} at one eps), so they are evaluated once through
+  // DeviationModelBuilder instead of per entry — bit-identical to the
+  // per-entry ModelDeviation calls it replaces.
   static constexpr double kOneHotSupport[2] = {0.0, 1.0};
   HDLDP_ASSIGN_OR_RETURN(
       const framework::DeviationModelBuilder model_builder,
-      framework::DeviationModelBuilder::Create(*mechanism, per_entry_eps,
+      framework::DeviationModelBuilder::Create(mechanism, per_entry_eps,
                                                kOneHotSupport, entry_domain));
-  std::vector<framework::GaussianDeviation> deviations;
-  deviations.reserve(total_entries);
+  out.deviations.reserve(total_entries);
   for (std::size_t j = 0; j < d; ++j) {
     const std::size_t off = schema.EntryOffset(j);
     const double r = static_cast<double>(dim_reports[j]);
     for (std::size_t k = 0; k < schema.Cardinality(j); ++k) {
-      const double f = Clamp(raw_flat[off + k], 0.0, 1.0);
+      const double f = Clamp(out.raw_flat[off + k], 0.0, 1.0);
       const double probs[2] = {1.0 - f, f};
       HDLDP_ASSIGN_OR_RETURN(const framework::DeviationModel model,
                              model_builder.Model(probs, r));
-      deviations.push_back(model.deviation);
+      out.deviations.push_back(model.deviation);
     }
   }
+  return out;
+}
+
+}  // namespace
+
+Result<FrequencyEstimationResult> RunFrequencyEstimation(
+    const data::ChunkSource& source, const CategoricalSchema& schema,
+    mech::MechanismPtr mechanism, const FrequencyOptions& options) {
+  const bool oracle = options.encoding == protocol::ReportEncoding::kOue ||
+                      options.encoding == protocol::ReportEncoding::kOlh;
+  if (options.encoding == protocol::ReportEncoding::kHadamard1) {
+    return Status::InvalidArgument(
+        "hadamard1 is a mean encoding; frequency estimation supports "
+        "dense|sampled|oue|olh");
+  }
+  if (mechanism == nullptr && !oracle) {
+    return Status::InvalidArgument("frequency estimation requires a mechanism");
+  }
+  if (source.num_dims() != schema.num_dims()) {
+    return Status::InvalidArgument(
+        "categorical source width does not match schema");
+  }
+  const std::size_t d = schema.num_dims();
+  const std::size_t m = options.report_dims == 0 ? d : options.report_dims;
+  if (m > d) {
+    return Status::InvalidArgument("report_dims exceeds categorical dims");
+  }
+  const engine::ChunkedEstimation core(source, options);
+  HDLDP_ASSIGN_OR_RETURN(
+      Ingested ingested,
+      oracle ? IngestOracle(core, schema, options, m)
+             : IngestNumeric(core, schema, *mechanism, options, m));
+
+  // HDR4ME re-calibration over the expanded (sum_j v_j)-dimensional space.
   HDLDP_ASSIGN_OR_RETURN(
       const hdr4me::RecalibrationResult recal,
-      hdr4me::Recalibrate(raw_flat, deviations, options.hdr4me));
+      hdr4me::Recalibrate(ingested.raw_flat, ingested.deviations,
+                          options.hdr4me));
 
   FrequencyEstimationResult result;
-  result.per_entry_epsilon = per_entry_eps;
+  result.per_entry_epsilon = ingested.per_entry_epsilon;
   HDLDP_ASSIGN_OR_RETURN(
       result.true_frequencies,
-      SourceTrueFrequencies(source, schema, quarantined_chunks));
-  result.quarantined_chunks = std::move(quarantined_chunks);
-  result.surviving_users = source.num_users();
-  for (const std::size_t c : result.quarantined_chunks) {
-    result.surviving_users -= source.ChunkUsers(c);
-  }
-  result.resumed_from_checkpoint = resumed;
-  result.raw = Unflatten(raw_flat, schema);
+      SourceTrueFrequencies(source, schema, ingested.quarantined_chunks));
+  result.surviving_users = source.SurvivingUsers(ingested.quarantined_chunks);
+  result.quarantined_chunks = std::move(ingested.quarantined_chunks);
+  result.resumed_from_checkpoint = ingested.resumed;
+  result.raw = Unflatten(ingested.raw_flat, schema);
   result.recalibrated = Unflatten(recal.enhanced_mean, schema);
   if (options.clip_and_normalize) {
     ClipAndNormalize(schema, &result.raw);

@@ -18,83 +18,47 @@
 #define HDLDP_FREQ_PIPELINE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
 #include "data/chunk_source.h"
-#include "engine/reduce.h"
 #include "freq/encoding.h"
 #include "hdr4me/recalibrate.h"
 #include "mech/mechanism.h"
-#include "protocol/wire.h"
+#include "protocol/pipeline.h"
 
 namespace hdldp {
 namespace freq {
 
-/// Configuration of a frequency-estimation run.
-struct FrequencyOptions {
-  /// Collective per-user privacy budget.
-  double total_epsilon = 1.0;
-  /// Categorical dimensions sampled per user (m); 0 means all d.
-  std::size_t report_dims = 0;
-  /// Seed of the run. Estimates are a pure function of (dataset, options
-  /// minus num_threads) under either seed scheme.
-  std::uint64_t seed = 1;
-  /// RNG stream contract (see common/rng_lanes.h). kV3Batched (default)
-  /// streams fixed 4096-user chunks over the shared thread pool, chunk c
-  /// perturbing through the prepared sampler plan with the four lane
-  /// streams of ChunkSeed(seed, c); dense (m == d) runs are laid out
-  /// exactly as kV2Lanes while sampled (m < d) runs batch many users'
-  /// one-hot entries into each lane span — the fast path. kV2Lanes
-  /// replays the per-user sampled lane spans of the first lane-era
-  /// releases; kV1Scalar replays the legacy serial loop (one scalar
-  /// stream, per-entry Perturb) and reproduces pre-lane-era runs bit for
-  /// bit under their old seeds.
-  SeedScheme seed_scheme = SeedScheme::kV3Batched;
-  /// Maximum worker threads simulating chunks concurrently under
-  /// kV2Lanes (on the shared ThreadPool). 1 = serial, 0 = one per
-  /// hardware thread. Affects wall-clock time only, never the estimates.
-  /// Ignored under kV1Scalar, which is single-stream by definition.
-  std::size_t num_threads = 1;
+/// \brief Configuration of a frequency-estimation run: the shared run
+/// fields of protocol::PipelineOptions (report_dims is the number m of
+/// categorical dimensions sampled per user) plus the HDR4ME settings.
+///
+/// Frequency-specific readings of the shared fields:
+/// - seed_scheme kV1Scalar replays the legacy serial loop (one scalar
+///   stream) and reproduces pre-lane-era runs bit for bit; it ignores
+///   num_threads, fails on the first chunk fault regardless of retry and
+///   allow_missing_chunks, and rejects a checkpoint path with
+///   InvalidArgument (the loop predates the reduction tree).
+/// - Under allow_missing_chunks the ground-truth frequencies are computed
+///   over the same surviving users, so MSEs stay comparable.
+/// - encoding kDense/kSampled run the numeric path (every one-hot entry
+///   perturbed by `mechanism` at eps/(2m)); kOue/kOlh run the
+///   frequency-oracle path: one randomized categorical report per
+///   sampled dimension at eps/m, O(1) client draws per dimension, exact
+///   integer support counts, and the analytic binomial deviation model
+///   feeding HDR4ME. Oracle draws follow their own frozen scalar
+///   per-chunk stream contract (common/rng_lanes.h, "compact
+///   encodings"); seed_scheme does not alter them, and the oracle
+///   accumulators do not checkpoint yet (a path is rejected). kHadamard1
+///   is a mean encoding and is rejected here.
+struct FrequencyOptions : protocol::PipelineOptions {
   /// HDR4ME configuration for the re-calibrated estimate.
   hdr4me::Hdr4meOptions hdr4me;
   /// Post-process estimates: clip to [0, 1] and renormalize each
   /// dimension to sum to 1.
   bool clip_and_normalize = true;
-  /// Retry policy for transient (kUnavailable) chunk faults during
-  /// ingestion. Recovered retries never change the estimates. Engine
-  /// schemes (kV2Lanes / kV3Batched) only; the kV1Scalar serial loop
-  /// fails on the first fault regardless.
-  engine::RetryPolicy retry;
-  /// Explicit opt-in: quarantine chunks that still fail after retries
-  /// instead of failing the run. Per-dimension averages divide by the
-  /// received report counts, so surviving-user estimates need no
-  /// post-hoc correction; the ground-truth frequencies are computed over
-  /// the same surviving users so MSEs stay comparable. Engine schemes
-  /// only.
-  bool allow_missing_chunks = false;
-  /// Checkpoint file path; empty disables checkpointing. With a path,
-  /// per-group aggregator state persists as ingestion progresses
-  /// (protocol/snapshot.h); re-running after a crash resumes from the
-  /// file and produces bit-identical estimates, and a completed run
-  /// removes its spent checkpoint. Engine schemes only: the kV1Scalar
-  /// loop predates the reduction tree and rejects a checkpoint path
-  /// with InvalidArgument. Numeric encodings only: the frequency-oracle
-  /// accumulators do not checkpoint yet and reject a path likewise.
-  std::string checkpoint_path;
-  /// Report encoding. kDense/kSampled run the numeric path above (every
-  /// one-hot entry perturbed by `mechanism` at eps/(2m)); kOue/kOlh run
-  /// the frequency-oracle path: one randomized categorical report per
-  /// sampled dimension at eps/m, O(1) client draws per dimension, exact
-  /// integer support counts, and the analytic binomial deviation model
-  /// feeding HDR4ME. Oracle draws follow their own frozen scalar
-  /// per-chunk stream contract (common/rng_lanes.h, "compact
-  /// encodings"); seed_scheme does not alter them, and estimates remain
-  /// bit-identical across thread counts, sources and SIMD builds.
-  /// kHadamard1 is a mean encoding and is rejected here.
-  protocol::ReportEncoding encoding = protocol::ReportEncoding::kDense;
 };
 
 /// Outcome of a frequency-estimation run.

@@ -10,7 +10,6 @@
 #include "framework/deviation_model.h"
 #include "framework/value_distribution.h"
 #include "protocol/metrics.h"
-#include "protocol/pipeline.h"
 
 namespace hdldp {
 namespace hdr4me {
@@ -57,6 +56,12 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
   if (mechanism == nullptr) {
     return Status::InvalidArgument("variance estimation requires a mechanism");
   }
+  if (options.encoding != protocol::ReportEncoding::kDense &&
+      options.encoding != protocol::ReportEncoding::kSampled) {
+    return Status::InvalidArgument(
+        "variance estimation runs numeric mean halves; it supports "
+        "dense|sampled encodings");
+  }
   const std::size_t n = source.num_users();
   const std::size_t d = source.num_dims();
   if (n < 2) {
@@ -85,13 +90,7 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
   // half exactly where it stopped. A completed half's checkpoint is
   // spent and removed, so re-running it recomputes deterministically —
   // bit-identical either way.
-  protocol::PipelineOptions mean_opts;
-  mean_opts.total_epsilon = options.total_epsilon;
-  mean_opts.report_dims = options.report_dims;
-  mean_opts.seed = options.seed;
-  mean_opts.seed_scheme = options.seed_scheme;
-  mean_opts.retry = options.retry;
-  mean_opts.allow_missing_chunks = options.allow_missing_chunks;
+  protocol::PipelineOptions mean_opts = options;
   if (!options.checkpoint_path.empty()) {
     mean_opts.checkpoint_path = options.checkpoint_path + ".values";
   }

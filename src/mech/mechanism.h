@@ -129,14 +129,13 @@ class Mechanism {
   /// zero transcendental evaluations and zero virtual dispatch per value.
   ///
   /// The returned plan draws from its Rng in exactly Perturb()'s order and
-  /// produces bit-identical outputs (tests/test_plan.cc). The base
-  /// implementation returns a GenericPlan deferring to Perturb(); the
-  /// registered mechanisms all override with a concrete plan struct.
+  /// produces bit-identical outputs (tests/test_plan.cc). Every mechanism
+  /// returns its own concrete plan struct (mech/plan.h).
   ///
   /// REQUIRES: ValidateBudget(eps).ok(). The plan does not keep `this`
-  /// alive (except GenericPlan, which holds a raw pointer): concrete plans
-  /// are self-contained value types safe to copy across threads.
-  virtual SamplerPlan MakePlan(double eps) const;
+  /// alive: plans are self-contained value types safe to copy across
+  /// threads.
+  virtual SamplerPlan MakePlan(double eps) const = 0;
 
   /// \brief Perturbs `ts.size()` inputs at one shared budget, writing
   /// outputs into `out` (which must hold at least ts.size() entries).

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/math.h"
-#include "engine/chunked_estimation.h"
-#include "protocol/aggregator.h"
 #include "protocol/metrics.h"
-#include "protocol/snapshot.h"
 
 namespace hdldp {
 namespace protocol {
@@ -62,128 +60,173 @@ Status SimulateChunkV1(std::span<const double> rows, std::size_t num_dims,
   return Status::OK();
 }
 
+using ChunkBody =
+    std::function<Status(const engine::ChunkRange&, MeanAggregator*)>;
+
+// What a mean encoding contributes to a run; RunMeanEstimation does the
+// rest (checkpointed reduction, result assembly) once for both.
+struct MeanPath {
+  // Digest tag: the mechanism name, or "hadamard1".
+  std::string name;
+  std::size_t report_dims = 0;
+  double per_dim_epsilon = 0.0;
+  // Native space -> data domain of the aggregated values.
+  mech::DomainMap map;
+  ChunkBody body;
+};
+
 // The Hadamard 1-bit mean path: one randomized sign bit per user at the
 // full eps, decoded unbiasedly by MeanAggregator::ConsumeHadamard1.
 // Draw layout (the "compact encodings" stream contract in
 // common/rng_lanes.h): one scalar stream per chunk, per user a Floyd
 // m-of-d sample sorted ascending, then the Hadamard1Encode draws (row
 // index, sign coin). Decoded values are already in the data domain, so
-// the aggregator runs with an identity map; checkpointing reuses the
-// standard MeanAggregator hooks.
-Result<MeanEstimationResult> RunHadamard1Estimation(
-    const data::ChunkSource& source, const PipelineOptions& options) {
-  const std::size_t d = source.num_dims();
+// the aggregator runs with an identity map. The single bit spends the
+// whole budget; there is no per-dimension split to report.
+Result<MeanPath> Hadamard1Path(const engine::ChunkedEstimation& core,
+                               std::size_t d, const PipelineOptions& options) {
   const std::size_t m = options.report_dims == 0 ? d : options.report_dims;
   HDLDP_ASSIGN_OR_RETURN(
       const Hadamard1Params params,
       Hadamard1Params::Create(d, m, options.total_epsilon));
-  const mech::DomainMap identity;
+  return MeanPath{
+      "hadamard1", m, options.total_epsilon, mech::DomainMap(),
+      [&core, d, m, params](const engine::ChunkRange& range,
+                            MeanAggregator* scratch) -> Status {
+        HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
+                               core.ChunkRows(range));
+        Rng rng(range.chunk_seed);
+        std::vector<std::uint32_t> sampled;
+        std::vector<double> values(m);
+        for (std::size_t i = range.begin; i < range.end; ++i) {
+          const double* row = rows.data() + (i - range.begin) * d;
+          sampled.clear();
+          rng.SampleWithoutReplacement(d, m, &sampled);
+          std::sort(sampled.begin(), sampled.end());
+          for (std::size_t pos = 0; pos < m; ++pos) {
+            values[pos] = row[sampled[pos]];
+          }
+          const Hadamard1Report report = Hadamard1Encode(params, values, &rng);
+          HDLDP_RETURN_NOT_OK(scratch->ConsumeHadamard1(
+              params, sampled, report.index, report.positive));
+        }
+        return Status::OK();
+      }};
+}
 
-  engine::EngineOptions engine_options;
-  engine_options.seed = options.seed;
-  engine_options.seed_scheme = options.seed_scheme;
-  engine_options.num_threads = options.num_threads;
-  engine_options.retry = options.retry;
-  engine_options.allow_missing_chunks = options.allow_missing_chunks;
-  const engine::ChunkedEstimation core(source, engine_options);
+// The numeric path: each reported value perturbed by the mechanism at
+// eps/m. The chunk body only says what a user row looks like in the
+// mechanism's native domain; chunk geometry, (seed, chunk, lane) stream
+// seeding and plan dispatch live in the engine. Each chunk body pulls
+// its rows once up front (worker-local buffer, one chunk resident per
+// worker).
+Result<MeanPath> NumericPath(const engine::ChunkedEstimation& core,
+                             std::size_t d, mech::MechanismPtr mechanism,
+                             const PipelineOptions& options) {
+  ClientOptions client_options;
+  client_options.total_epsilon = options.total_epsilon;
+  client_options.report_dims = options.report_dims;
+  HDLDP_ASSIGN_OR_RETURN(
+      const Client client,
+      Client::Create(std::move(mechanism), d, client_options));
+  const std::size_t m = client.report_dims();
+  return MeanPath{
+      std::string(client.mechanism().Name()), m, client.PerDimensionEpsilon(),
+      client.domain_map(),
+      [&core, d, m, client](const engine::ChunkRange& range,
+                            MeanAggregator* scratch) -> Status {
+        HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
+                               core.ChunkRows(range));
+        if (core.options().seed_scheme == SeedScheme::kV1Scalar) {
+          return SimulateChunkV1(rows, d, client, range, scratch);
+        }
+        const mech::SamplerPlan& plan = client.plan();
+        const mech::DomainMap map = client.domain_map();
+        if (m == d) {
+          // Dense fast path: whole tuples map onto native rows.
+          return core.PerturbDenseChunk(
+              plan, range, d, 0.0, scratch,
+              [&](std::size_t user, std::size_t block,
+                  std::span<double> natives) {
+                const std::span<const double> block_rows =
+                    rows.subspan((user - range.begin) * d, block * d);
+                for (std::size_t k = 0; k < block_rows.size(); ++k) {
+                  natives[k] = map.Forward(block_rows[k]);
+                }
+              });
+        }
+        // Sampled path: each sampled dimension contributes one entry,
+        // bulk-appended per user (v3 batches many users' entries into
+        // each lane span; v2 keeps one span per user — the engine driver
+        // dispatches).
+        return core.PerturbSampledChunk(
+            plan, range, d, m, scratch,
+            [&](std::size_t user, std::span<const std::uint32_t> dims,
+                std::vector<std::uint32_t>* entry_indices,
+                std::vector<double>* natives) {
+              entry_indices->insert(entry_indices->end(), dims.begin(),
+                                    dims.end());
+              const std::size_t base = natives->size();
+              natives->resize(base + dims.size());
+              double* out = natives->data() + base;
+              const std::span<const double> row =
+                  rows.subspan((user - range.begin) * d, d);
+              for (std::size_t k = 0; k < dims.size(); ++k) {
+                out[k] = map.Forward(row[dims[k]]);
+              }
+            });
+      }};
+}
 
+}  // namespace
+
+Result<CheckpointedReduce> ReduceCheckpointed(
+    const engine::ChunkedEstimation& core, std::size_t num_entries,
+    const mech::DomainMap& map, const std::string& checkpoint_path,
+    const RunDigest& digest, const ChunkBody& body) {
+  const auto make = [&] { return MeanAggregator::Create(num_entries, map); };
+  // Translate between the codec's opaque group records and the
+  // aggregator's exact state.
   std::optional<SnapshotFile> snapshot;
   engine::CheckpointHooks<MeanAggregator> hooks;
-  if (!options.checkpoint_path.empty()) {
-    RunDigest digest;
-    digest.AddString("mean");
-    digest.AddString("hadamard1");
-    digest.AddF64(options.total_epsilon);
-    digest.AddU64(m);
-    digest.AddU64(options.seed);
-    digest.AddU64(static_cast<std::uint64_t>(options.seed_scheme));
-    digest.AddU64(source.num_users());
-    digest.AddU64(d);
-    digest.AddU64(options.allow_missing_chunks ? 1 : 0);
-    HDLDP_ASSIGN_OR_RETURN(
-        SnapshotFile file,
-        SnapshotFile::Open(options.checkpoint_path, digest.bytes));
+  if (!checkpoint_path.empty()) {
+    HDLDP_ASSIGN_OR_RETURN(SnapshotFile file,
+                           SnapshotFile::Open(checkpoint_path, digest.bytes));
     snapshot.emplace(std::move(file));
-    hooks.load = [&snapshot, d, identity](std::size_t group)
+    hooks.load = [&](std::size_t group)
         -> Result<std::optional<engine::GroupCheckpoint<MeanAggregator>>> {
-      const std::optional<SnapshotFile::GroupState> state =
-          snapshot->Load(group);
+      std::optional<SnapshotFile::GroupState> state = snapshot->Load(group);
       if (!state.has_value()) {
         return std::optional<engine::GroupCheckpoint<MeanAggregator>>();
       }
-      HDLDP_ASSIGN_OR_RETURN(MeanAggregator acc,
-                             MeanAggregator::Create(d, identity));
+      HDLDP_ASSIGN_OR_RETURN(MeanAggregator acc, make());
       HDLDP_RETURN_NOT_OK(acc.RestoreState(state->acc_state));
       return std::optional<engine::GroupCheckpoint<MeanAggregator>>(
           engine::GroupCheckpoint<MeanAggregator>{
-              state->chunks_done, state->quarantined, std::move(acc)});
+              state->chunks_done, std::move(state->quarantined),
+              std::move(acc)});
     };
-    hooks.save = [&snapshot](std::size_t group, std::size_t chunks_done,
-                             const std::vector<std::size_t>& quarantined,
-                             const MeanAggregator& acc) -> Status {
+    hooks.save = [&](std::size_t group, std::size_t chunks_done,
+                     const std::vector<std::size_t>& quarantined,
+                     const MeanAggregator& acc) -> Status {
       std::vector<unsigned char> bytes;
       acc.SerializeState(&bytes);
       return snapshot->Save(group, chunks_done, quarantined, bytes);
     };
   }
   const bool resumed = snapshot.has_value() && snapshot->resumed();
-
-  std::vector<std::size_t> quarantined_chunks;
+  std::vector<std::size_t> quarantined;
   HDLDP_ASSIGN_OR_RETURN(
-      const MeanAggregator aggregator,
-      core.ReduceResumable<MeanAggregator>(
-          [&] { return MeanAggregator::Create(d, identity); },
-          [&](const engine::ChunkRange& range,
-              MeanAggregator* scratch) -> Status {
-            HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                                   core.ChunkRows(range));
-            Rng rng(range.chunk_seed);
-            std::vector<std::uint32_t> sampled;
-            std::vector<double> values(m);
-            for (std::size_t i = range.begin; i < range.end; ++i) {
-              const double* row = rows.data() + (i - range.begin) * d;
-              sampled.clear();
-              rng.SampleWithoutReplacement(d, m, &sampled);
-              std::sort(sampled.begin(), sampled.end());
-              for (std::size_t pos = 0; pos < m; ++pos) {
-                values[pos] = row[sampled[pos]];
-              }
-              const Hadamard1Report report =
-                  Hadamard1Encode(params, values, &rng);
-              HDLDP_RETURN_NOT_OK(scratch->ConsumeHadamard1(
-                  params, sampled, report.index, report.positive));
-            }
-            return Status::OK();
-          },
-          hooks, &quarantined_chunks));
-
+      MeanAggregator aggregator,
+      core.ReduceResumable<MeanAggregator>(make, body, hooks, &quarantined));
+  // The run completed; its checkpoint is spent.
   if (snapshot.has_value()) {
     HDLDP_RETURN_NOT_OK(snapshot->Close());
-    HDLDP_RETURN_NOT_OK(SnapshotFile::Remove(options.checkpoint_path));
+    HDLDP_RETURN_NOT_OK(SnapshotFile::Remove(checkpoint_path));
   }
-
-  MeanEstimationResult result;
-  result.estimated_mean = aggregator.EstimatedMean();
-  HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
-  result.report_counts.reserve(d);
-  for (std::size_t j = 0; j < d; ++j) {
-    result.report_counts.push_back(aggregator.ReportCount(j));
-  }
-  // The single bit spends the whole budget; there is no per-dimension
-  // split to report.
-  result.per_dim_epsilon = options.total_epsilon;
-  HDLDP_ASSIGN_OR_RETURN(
-      result.mse, MeanSquaredError(result.estimated_mean, result.true_mean));
-  result.quarantined_chunks = std::move(quarantined_chunks);
-  result.surviving_users = source.num_users();
-  for (const std::size_t c : result.quarantined_chunks) {
-    result.surviving_users -= source.ChunkUsers(c);
-  }
-  result.resumed_from_checkpoint = resumed;
-  return result;
+  return CheckpointedReduce{std::move(aggregator), std::move(quarantined),
+                            resumed};
 }
-
-}  // namespace
 
 Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
                                                mech::MechanismPtr mechanism,
@@ -194,149 +237,45 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
         "oue/olh are frequency-oracle encodings; mean estimation supports "
         "dense|sampled|hadamard1");
   }
-  if (options.encoding == ReportEncoding::kHadamard1) {
-    return RunHadamard1Estimation(source, options);
-  }
-  ClientOptions client_options;
-  client_options.total_epsilon = options.total_epsilon;
-  client_options.report_dims = options.report_dims;
-  HDLDP_ASSIGN_OR_RETURN(
-      const Client client,
-      Client::Create(std::move(mechanism), source.num_dims(),
-                     client_options));
   const std::size_t d = source.num_dims();
-  const std::size_t m = client.report_dims();
-  const mech::DomainMap map = client.domain_map();
-  const mech::SamplerPlan& plan = client.plan();
-
-  engine::EngineOptions engine_options;
-  engine_options.seed = options.seed;
-  engine_options.seed_scheme = options.seed_scheme;
-  engine_options.num_threads = options.num_threads;
-  engine_options.retry = options.retry;
-  engine_options.allow_missing_chunks = options.allow_missing_chunks;
-  const engine::ChunkedEstimation core(source, engine_options);
-
-  // Checkpointing: bind a SnapshotFile keyed by the run configuration
-  // (everything the estimate depends on — thread count deliberately
-  // excluded) and translate between the codec's opaque group records
-  // and the aggregator's exact state.
-  std::optional<SnapshotFile> snapshot;
-  engine::CheckpointHooks<MeanAggregator> hooks;
-  if (!options.checkpoint_path.empty()) {
-    RunDigest digest;
-    digest.AddString("mean");
-    digest.AddString(client.mechanism().Name());
-    digest.AddF64(options.total_epsilon);
-    digest.AddU64(m);
-    digest.AddU64(options.seed);
-    digest.AddU64(static_cast<std::uint64_t>(options.seed_scheme));
-    digest.AddU64(source.num_users());
-    digest.AddU64(d);
-    digest.AddU64(options.allow_missing_chunks ? 1 : 0);
-    HDLDP_ASSIGN_OR_RETURN(
-        SnapshotFile file,
-        SnapshotFile::Open(options.checkpoint_path, digest.bytes));
-    snapshot.emplace(std::move(file));
-    hooks.load = [&snapshot, d, map](std::size_t group)
-        -> Result<std::optional<engine::GroupCheckpoint<MeanAggregator>>> {
-      const std::optional<SnapshotFile::GroupState> state =
-          snapshot->Load(group);
-      if (!state.has_value()) {
-        return std::optional<engine::GroupCheckpoint<MeanAggregator>>();
-      }
-      HDLDP_ASSIGN_OR_RETURN(MeanAggregator acc,
-                             MeanAggregator::Create(d, map));
-      HDLDP_RETURN_NOT_OK(acc.RestoreState(state->acc_state));
-      return std::optional<engine::GroupCheckpoint<MeanAggregator>>(
-          engine::GroupCheckpoint<MeanAggregator>{
-              state->chunks_done, state->quarantined, std::move(acc)});
-    };
-    hooks.save = [&snapshot](std::size_t group, std::size_t chunks_done,
-                             const std::vector<std::size_t>& quarantined,
-                             const MeanAggregator& acc) -> Status {
-      std::vector<unsigned char> bytes;
-      acc.SerializeState(&bytes);
-      return snapshot->Save(group, chunks_done, quarantined, bytes);
-    };
-  }
-  const bool resumed = snapshot.has_value() && snapshot->resumed();
-
-  // The whole orchestration — chunk geometry, (seed, chunk, lane) stream
-  // seeding, plan dispatch, deterministic two-level reduction — lives in
-  // the engine; the lambdas below only say what a user row looks like in
-  // the mechanism's native domain. Each chunk body pulls its rows once
-  // up front (worker-local buffer, one chunk resident per worker).
-  std::vector<std::size_t> quarantined_chunks;
+  const engine::ChunkedEstimation core(source, options);
   HDLDP_ASSIGN_OR_RETURN(
-      const MeanAggregator aggregator,
-      core.ReduceResumable<MeanAggregator>(
-          [&] { return MeanAggregator::Create(d, map); },
-          [&](const engine::ChunkRange& range,
-              MeanAggregator* scratch) -> Status {
-            HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                                   core.ChunkRows(range));
-            if (core.options().seed_scheme == SeedScheme::kV1Scalar) {
-              return SimulateChunkV1(rows, d, client, range, scratch);
-            }
-            if (m == d) {
-              // Dense fast path: whole tuples map onto native rows.
-              return core.PerturbDenseChunk(
-                  plan, range, d, 0.0, scratch,
-                  [&](std::size_t user, std::size_t block,
-                      std::span<double> natives) {
-                    const std::span<const double> block_rows = rows.subspan(
-                        (user - range.begin) * d, block * d);
-                    for (std::size_t k = 0; k < block_rows.size(); ++k) {
-                      natives[k] = map.Forward(block_rows[k]);
-                    }
-                  });
-            }
-            // Sampled path: each sampled dimension contributes one
-            // entry, bulk-appended per user (v3 batches many users'
-            // entries into each lane span; v2 keeps one span per user —
-            // the engine driver dispatches).
-            return core.PerturbSampledChunk(
-                plan, range, d, m, scratch,
-                [&](std::size_t user, std::span<const std::uint32_t> dims,
-                    std::vector<std::uint32_t>* entry_indices,
-                    std::vector<double>* natives) {
-                  entry_indices->insert(entry_indices->end(), dims.begin(),
-                                        dims.end());
-                  const std::size_t base = natives->size();
-                  natives->resize(base + dims.size());
-                  double* out = natives->data() + base;
-                  const std::span<const double> row =
-                      rows.subspan((user - range.begin) * d, d);
-                  for (std::size_t k = 0; k < dims.size(); ++k) {
-                    out[k] = map.Forward(row[dims[k]]);
-                  }
-                });
-          },
-          hooks, &quarantined_chunks));
+      const MeanPath path,
+      options.encoding == ReportEncoding::kHadamard1
+          ? Hadamard1Path(core, d, options)
+          : NumericPath(core, d, std::move(mechanism), options));
 
-  // The run completed; its checkpoint is spent.
-  if (snapshot.has_value()) {
-    HDLDP_RETURN_NOT_OK(snapshot->Close());
-    HDLDP_RETURN_NOT_OK(SnapshotFile::Remove(options.checkpoint_path));
-  }
+  // Checkpoint manifest: everything the estimate depends on, in a fixed
+  // field order (a checkpoint written by any earlier release of this
+  // layout still resumes).
+  RunDigest digest;
+  digest.AddString("mean");
+  digest.AddString(path.name);
+  digest.AddF64(options.total_epsilon);
+  digest.AddU64(path.report_dims);
+  digest.AddU64(options.seed);
+  digest.AddU64(static_cast<std::uint64_t>(options.seed_scheme));
+  digest.AddU64(source.num_users());
+  digest.AddU64(d);
+  digest.AddU64(options.allow_missing_chunks ? 1 : 0);
+  HDLDP_ASSIGN_OR_RETURN(CheckpointedReduce reduced,
+                         ReduceCheckpointed(core, d, path.map,
+                                            options.checkpoint_path, digest,
+                                            path.body));
 
   MeanEstimationResult result;
-  result.estimated_mean = aggregator.EstimatedMean();
+  result.estimated_mean = reduced.aggregator.EstimatedMean();
   HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
   result.report_counts.reserve(d);
   for (std::size_t j = 0; j < d; ++j) {
-    result.report_counts.push_back(aggregator.ReportCount(j));
+    result.report_counts.push_back(reduced.aggregator.ReportCount(j));
   }
-  result.per_dim_epsilon = client.PerDimensionEpsilon();
+  result.per_dim_epsilon = path.per_dim_epsilon;
   HDLDP_ASSIGN_OR_RETURN(
       result.mse, MeanSquaredError(result.estimated_mean, result.true_mean));
-  result.quarantined_chunks = std::move(quarantined_chunks);
-  result.surviving_users = source.num_users();
-  for (const std::size_t c : result.quarantined_chunks) {
-    result.surviving_users -= source.ChunkUsers(c);
-  }
-  result.resumed_from_checkpoint = resumed;
+  result.surviving_users = source.SurvivingUsers(reduced.quarantined_chunks);
+  result.quarantined_chunks = std::move(reduced.quarantined_chunks);
+  result.resumed_from_checkpoint = reduced.resumed;
   return result;
 }
 

@@ -20,6 +20,7 @@
 #define HDLDP_PROTOCOL_PIPELINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -27,51 +28,36 @@
 #include "common/rng.h"
 #include "data/chunk_source.h"
 #include "data/dataset.h"
-#include "engine/reduce.h"
+#include "engine/chunked_estimation.h"
 #include "mech/mechanism.h"
+#include "protocol/aggregator.h"
 #include "protocol/client.h"
+#include "protocol/snapshot.h"
 #include "protocol/wire.h"
 
 namespace hdldp {
 namespace protocol {
 
-/// Configuration of a mean-estimation run.
-struct PipelineOptions {
+/// \brief Configuration of a mean-estimation run: the shared engine
+/// fields (seed, seed_scheme, num_threads, retry, allow_missing_chunks;
+/// see engine::EngineOptions) plus what the protocol adds on top. The
+/// frequency and variance pipelines extend this struct in turn.
+///
+/// Under seed_scheme kV3Batched (default) each chunk perturbs through the
+/// prepared sampler plan with the four lane streams of ChunkSeed(seed,
+/// chunk); dense (m == d) runs are laid out exactly as kV2Lanes while
+/// sampled (m < d) runs batch many users' entries into each lane span.
+/// kV2Lanes replays the per-user sampled lane spans of the first
+/// lane-era releases; kV1Scalar replays the legacy per-chunk scalar
+/// stream (ReportDense / ReportBatch draw order). Under
+/// allow_missing_chunks the estimate covers surviving users only
+/// (per-dimension averages already divide by received report counts, so
+/// no post-hoc correction is applied).
+struct PipelineOptions : engine::EngineOptions {
   /// Collective privacy budget per user.
   double total_epsilon = 1.0;
   /// Dimensions reported per user (m); 0 means all d.
   std::size_t report_dims = 0;
-  /// Seed of the run. Estimates are a pure function of (dataset, options
-  /// minus num_threads) under either seed scheme: the simulation is
-  /// decomposed into fixed-size user chunks whose streams derive from
-  /// (seed, chunk_index) and whose partial aggregates reduce through the
-  /// deterministic engine tree, so the result is identical for every
-  /// num_threads value.
-  std::uint64_t seed = 1;
-  /// RNG stream contract (see common/rng_lanes.h). kV3Batched (default)
-  /// perturbs through the prepared sampler plan with the four lane
-  /// streams of ChunkSeed(seed, chunk); dense (m == d) runs are laid out
-  /// exactly as kV2Lanes while sampled (m < d) runs batch many users'
-  /// entries into each lane span — the fast path, invariant to
-  /// SIMD-vs-scalar builds. kV2Lanes replays the per-user sampled lane
-  /// spans of the first lane-era releases; kV1Scalar replays the legacy
-  /// per-chunk scalar stream (ReportDense / ReportBatch draw order) and
-  /// reproduces pre-lane-era mean estimates bit for bit under their old
-  /// seeds.
-  SeedScheme seed_scheme = SeedScheme::kV3Batched;
-  /// Maximum worker threads simulating chunks concurrently (on the shared
-  /// ThreadPool). 1 = serial, 0 = one per hardware thread. Affects
-  /// wall-clock time only, never the estimate.
-  std::size_t num_threads = 1;
-  /// Retry policy for transient (kUnavailable) chunk faults. Recovered
-  /// retries never change the estimate.
-  engine::RetryPolicy retry;
-  /// Explicit opt-in: quarantine chunks that still fail after retries
-  /// instead of failing the run; the estimate then covers surviving
-  /// users only (per-dimension averages already divide by received
-  /// report counts, so no post-hoc correction is applied) and the
-  /// result reports the quarantined chunk indices.
-  bool allow_missing_chunks = false;
   /// Checkpoint file path; empty disables checkpointing. With a path,
   /// per-group accumulator state persists as the run progresses
   /// (protocol/snapshot.h); re-running after a crash resumes from the
@@ -130,6 +116,30 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
 Result<MeanEstimationResult> RunMeanEstimation(const data::Dataset& dataset,
                                                mech::MechanismPtr mechanism,
                                                const PipelineOptions& options);
+
+/// Outcome of ReduceCheckpointed.
+struct CheckpointedReduce {
+  MeanAggregator aggregator;
+  /// Chunks skipped under allow_missing_chunks, sorted ascending.
+  std::vector<std::size_t> quarantined_chunks;
+  /// True iff the run continued from a prior checkpoint.
+  bool resumed = false;
+};
+
+/// \brief The checkpointed MeanAggregator reduction shared by the mean,
+/// Hadamard1 and numeric frequency pipelines: runs `core`'s reduction
+/// over aggregators of `num_entries` entries read back through `map`,
+/// folding chunk after chunk with `body`. With a non-empty
+/// `checkpoint_path`, per-group state persists in a SnapshotFile keyed
+/// by `digest` (everything the estimate depends on; the thread count is
+/// deliberately left out), a run that finds matching state resumes from
+/// it bit-identically, and a completed run removes its spent file.
+Result<CheckpointedReduce> ReduceCheckpointed(
+    const engine::ChunkedEstimation& core, std::size_t num_entries,
+    const mech::DomainMap& map, const std::string& checkpoint_path,
+    const RunDigest& digest,
+    const std::function<Status(const engine::ChunkRange&, MeanAggregator*)>&
+        body);
 
 /// Outcome of a single-dimension run.
 struct SingleDimensionResult {

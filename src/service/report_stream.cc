@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <utility>
+#include <variant>
 
 #include "mech/registry.h"
 #include "protocol/budget.h"
@@ -36,7 +37,6 @@ Result<ReportStream> ReportStream::Create(const ReportStreamOptions& options) {
   HDLDP_ASSIGN_OR_RETURN(mech::MechanismPtr mechanism,
                          mech::MakeMechanism(options.mechanism));
   ReportStream stream(options);
-  stream.mechanism_ = mechanism;
   const std::size_t m = options.report_dims == 0 ? options.num_dims
                                                  : options.report_dims;
   if (m > options.num_dims) {
@@ -117,6 +117,7 @@ Result<ReportStream> ReportStream::Create(const ReportStreamOptions& options) {
         stream.per_entry_epsilon_,
         protocol::BudgetAccountant::PerEntryBudget(options.epsilon, m));
     HDLDP_RETURN_NOT_OK(mechanism->ValidateBudget(stream.per_entry_epsilon_));
+    stream.entry_plan_.emplace(mechanism->MakePlan(stream.per_entry_epsilon_));
     // One-hot entries live in {0, 1}; map that onto the mechanism's
     // native input domain, exactly like the freq pipeline does.
     HDLDP_ASSIGN_OR_RETURN(
@@ -258,17 +259,21 @@ Status ReportStream::Generate(std::uint64_t index,
     sampled_.clear();
     rng.SampleWithoutReplacement(options_.num_dims, m, &sampled_);
     report.entries.reserve(m * c);
-    for (const std::uint32_t question : sampled_) {
-      const std::size_t answer =
-          static_cast<std::size_t>(rng.UniformInt(c));
-      for (std::size_t k = 0; k < c; ++k) {
-        const double native =
-            domain_map_.Forward(k == answer ? 1.0 : 0.0);
-        report.entries.push_back(protocol::DimensionReport{
-            static_cast<std::uint32_t>(question * c + k),
-            mechanism_->Perturb(native, per_entry_epsilon_, &rng)});
-      }
-    }
+    const double natives[2] = {domain_map_.Forward(0.0),
+                               domain_map_.Forward(1.0)};
+    std::visit(
+        [&](const auto& plan) {
+          for (const std::uint32_t question : sampled_) {
+            const std::size_t answer =
+                static_cast<std::size_t>(rng.UniformInt(c));
+            for (std::size_t k = 0; k < c; ++k) {
+              report.entries.push_back(protocol::DimensionReport{
+                  static_cast<std::uint32_t>(question * c + k),
+                  plan(natives[k == answer], &rng)});
+            }
+          }
+        },
+        *entry_plan_);
   }
   HDLDP_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> payload,
                          protocol::EncodeReport(report));

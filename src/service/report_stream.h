@@ -149,8 +149,9 @@ class ReportStream {
   Status GenerateCompact(std::uint64_t index, std::vector<std::uint8_t>* out);
 
   ReportStreamOptions options_;
-  mech::MechanismPtr mechanism_;
   std::optional<protocol::Client> client_;  // kMean only
+  // kFreq numeric only: the mechanism prepared at per_entry_epsilon_.
+  std::optional<mech::SamplerPlan> entry_plan_;
   // Compact-encoding parameters (one of them, matching options_.encoding).
   std::optional<protocol::Hadamard1Params> hadamard_;
   freq::OueParams oue_;

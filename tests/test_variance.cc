@@ -36,6 +36,35 @@ TEST(VarianceEstimationTest, Validates) {
   EXPECT_FALSE(RunVarianceEstimation(
                    one_user, mech::MakeMechanism("laplace").value(), opts)
                    .ok());
+  // Both halves are numeric mean runs: compact encodings are rejected.
+  for (const auto encoding : {protocol::ReportEncoding::kHadamard1,
+                              protocol::ReportEncoding::kOue,
+                              protocol::ReportEncoding::kOlh}) {
+    opts.encoding = encoding;
+    const auto result = RunVarianceEstimation(
+        data, mech::MakeMechanism("laplace").value(), opts);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(VarianceEstimationTest, ThreadCountDoesNotChangeEstimates) {
+  // num_threads reaches both halves; several chunks per half so the
+  // reduction actually runs in parallel at 4 threads.
+  const auto data = MakeGaussianData(40000, 12, 13);
+  VarianceOptions opts;
+  opts.total_epsilon = 2.0;
+  opts.report_dims = 4;
+  opts.seed = 14;
+  opts.seed_scheme = SeedScheme::kV3Batched;
+  opts.recalibrate = true;
+  const auto mech = mech::MakeMechanism("piecewise").value();
+  opts.num_threads = 1;
+  const auto serial = RunVarianceEstimation(data, mech, opts).value();
+  opts.num_threads = 4;
+  const auto parallel = RunVarianceEstimation(data, mech, opts).value();
+  EXPECT_EQ(serial.estimated_variance, parallel.estimated_variance);
+  EXPECT_EQ(serial.estimated_mean, parallel.estimated_mean);
 }
 
 TEST(VarianceEstimationTest, GenerousBudgetRecoversVariance) {

@@ -94,7 +94,8 @@
 //
 //   hdldp_cli variance --mechanism=piecewise --dataset=gaussian
 //                      --users=20000 --dims=64 --epsilon=1
-//                      [--recalibrate] [--seed=1] [--seed-scheme=v3]
+//                      [--recalibrate] [--seed=1] [--threads=1]
+//                      [--seed-scheme=v3]
 //       Runs the split-population variance-estimation extension.
 //
 //   hdldp_cli serve   --workload=mean|freq --mechanism=duchi
@@ -248,32 +249,56 @@ class Flags {
   mutable std::set<std::string> consumed_;
 };
 
-// Fault-tolerance flags shared by mean/freq/variance: retry policy,
-// quarantine opt-in, checkpoint path, and (mean/freq/variance in-process
-// testing) deterministic fault injection over the resolved source.
+// In-process fault injection (--fault-*) over a resolved source.
 struct FaultFlags {
-  hdldp::engine::RetryPolicy retry;
-  bool allow_missing_chunks = false;
-  std::string checkpoint;
   /// Set when any --fault-* rate is nonzero; the source is then wrapped
   /// in a FaultInjectingChunkSource over FaultSchedule::Random.
   bool inject = false;
   std::uint64_t fault_seed = 0;
   hdldp::data::FaultSchedule::RandomOptions random;
+
+  /// `base`, or `base` behind a fault injector held in *holder.
+  const hdldp::data::ChunkSource* Wrap(
+      const hdldp::data::ChunkSource* base,
+      std::optional<hdldp::data::FaultInjectingChunkSource>* holder) const {
+    if (!inject) return base;
+    holder->emplace(base, hdldp::data::FaultSchedule::Random(
+                              fault_seed, base->num_chunks(), random));
+    return &**holder;
+  }
 };
 
-Result<FaultFlags> ParseFaultFlags(Flags* flags) {
-  FaultFlags ft;
+Result<hdldp::SeedScheme> ParseSeedScheme(const std::string& value) {
+  if (value == "v3" || value == "3") return hdldp::SeedScheme::kV3Batched;
+  if (value == "v2" || value == "2") return hdldp::SeedScheme::kV2Lanes;
+  if (value == "v1" || value == "1") return hdldp::SeedScheme::kV1Scalar;
+  return Status::InvalidArgument("unknown --seed-scheme '" + value +
+                                 "' (want v1|v2|v3)");
+}
+
+// The run flags shared by mean/freq/variance, parsed once into the
+// options base every batch pipeline derives from: --epsilon, --seed,
+// --threads, --seed-scheme, the retry policy, --allow-missing-chunks and
+// --checkpoint. Returns the --fault-* injection settings.
+Result<FaultFlags> ParseRunFlags(Flags* flags,
+                                 hdldp::protocol::PipelineOptions* opts) {
+  opts->total_epsilon = flags->GetDouble("epsilon", 1.0);
+  opts->seed = flags->GetSize("seed", 1);
+  opts->num_threads = flags->GetSize("threads", 1);
+  HDLDP_ASSIGN_OR_RETURN(
+      opts->seed_scheme,
+      ParseSeedScheme(flags->GetString("seed-scheme", "v3")));
   const std::size_t max_attempts = flags->GetSize("max-attempts", 1);
   if (max_attempts == 0) {
     return Status::InvalidArgument("--max-attempts must be >= 1");
   }
-  ft.retry.max_attempts = static_cast<int>(max_attempts);
-  ft.retry.initial_backoff_ms = flags->GetSize("backoff-ms", 0);
-  ft.retry.max_total_backoff_ms =
+  opts->retry.max_attempts = static_cast<int>(max_attempts);
+  opts->retry.initial_backoff_ms = flags->GetSize("backoff-ms", 0);
+  opts->retry.max_total_backoff_ms =
       flags->GetSize("max-total-backoff-ms", 0);
-  ft.allow_missing_chunks = flags->GetBool("allow-missing-chunks");
-  ft.checkpoint = flags->GetString("checkpoint", "");
+  opts->allow_missing_chunks = flags->GetBool("allow-missing-chunks");
+  opts->checkpoint_path = flags->GetString("checkpoint", "");
+  FaultFlags ft;
   ft.fault_seed = flags->GetSize("fault-seed", 0);
   ft.random.transient_rate = flags->GetDouble("fault-transient-rate", 0.0);
   ft.random.persistent_rate = flags->GetDouble("fault-persistent-rate", 0.0);
@@ -326,14 +351,6 @@ void PrintFaultOutcome(bool resumed, const std::vector<std::size_t>& chunks,
     std::printf("quarantined %zu chunks; surviving users %zu\n",
                 chunks.size(), surviving_users);
   }
-}
-
-Result<hdldp::SeedScheme> ParseSeedScheme(const std::string& value) {
-  if (value == "v3" || value == "3") return hdldp::SeedScheme::kV3Batched;
-  if (value == "v2" || value == "2") return hdldp::SeedScheme::kV2Lanes;
-  if (value == "v1" || value == "1") return hdldp::SeedScheme::kV1Scalar;
-  return Status::InvalidArgument("unknown --seed-scheme '" + value +
-                                 "' (want v1|v2|v3)");
 }
 
 Result<hdldp::data::Dataset> MakeDataset(const std::string& name,
@@ -460,51 +477,29 @@ Status RunMean(Flags flags) {
   const std::string dataset_name = flags.GetString("dataset", "uniform");
   const std::size_t users_flag = flags.GetSize("users", 20000);
   const std::size_t dims_flag = flags.GetSize("dims", 128);
-  const double epsilon = flags.GetDouble("epsilon", 1.0);
-  const std::size_t report_dims = flags.GetSize("report-dims", 0);
-  const std::uint64_t seed = flags.GetSize("seed", 1);
-  const std::size_t threads = flags.GetSize("threads", 1);
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdldp::SeedScheme seed_scheme,
-      ParseSeedScheme(flags.GetString("seed-scheme", "v3")));
+  hdldp::protocol::PipelineOptions opts;
+  HDLDP_ASSIGN_OR_RETURN(const FaultFlags ft, ParseRunFlags(&flags, &opts));
+  opts.report_dims = flags.GetSize("report-dims", 0);
+  HDLDP_ASSIGN_OR_RETURN(opts.encoding,
+                         hdldp::protocol::ParseReportEncoding(
+                             flags.GetString("encoding", "dense")));
   const std::string recalibrate = flags.GetString("recalibrate", "both");
   const bool gate = flags.GetBool("gate");
   const bool print_estimate = flags.GetBool("print-estimate");
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdldp::protocol::ReportEncoding encoding,
-      hdldp::protocol::ParseReportEncoding(
-          flags.GetString("encoding", "dense")));
-  HDLDP_ASSIGN_OR_RETURN(const FaultFlags ft, ParseFaultFlags(&flags));
   if (!input.empty()) HDLDP_RETURN_NOT_OK(RejectGeneratorFlagsWithInput(flags));
   HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
 
   SourceHolder data;
   HDLDP_RETURN_NOT_OK(ResolveSource(input, chunk_keyed, dataset_name,
-                                    users_flag, dims_flag, seed ^ 0xDA7Aull,
-                                    &data));
+                                    users_flag, dims_flag,
+                                    opts.seed ^ 0xDA7Aull, &data));
   std::optional<hdldp::data::FaultInjectingChunkSource> faulty;
-  const hdldp::data::ChunkSource* source = data.source;
-  if (ft.inject) {
-    faulty.emplace(source,
-                   hdldp::data::FaultSchedule::Random(
-                       ft.fault_seed, source->num_chunks(), ft.random));
-    source = &*faulty;
-  }
+  const hdldp::data::ChunkSource* source = ft.Wrap(data.source, &faulty);
   const std::size_t users = source->num_users();
   const std::size_t dims = source->num_dims();
+  const std::size_t report_dims = opts.report_dims;
   HDLDP_ASSIGN_OR_RETURN(auto mechanism,
                          hdldp::mech::MakeMechanism(mech_name));
-
-  hdldp::protocol::PipelineOptions opts;
-  opts.total_epsilon = epsilon;
-  opts.report_dims = report_dims;
-  opts.seed = seed;
-  opts.seed_scheme = seed_scheme;
-  opts.num_threads = threads;
-  opts.retry = ft.retry;
-  opts.allow_missing_chunks = ft.allow_missing_chunks;
-  opts.checkpoint_path = ft.checkpoint;
-  opts.encoding = encoding;
   HDLDP_ASSIGN_OR_RETURN(
       const auto run,
       hdldp::protocol::RunMeanEstimation(*source, mechanism, opts));
@@ -513,8 +508,8 @@ Status RunMean(Flags flags) {
               "encoding=%s\n",
               mech_name.c_str(),
               input.empty() ? dataset_name.c_str() : input.c_str(), users,
-              dims, epsilon, report_dims == 0 ? dims : report_dims,
-              hdldp::protocol::ReportEncodingName(encoding));
+              dims, opts.total_epsilon, report_dims == 0 ? dims : report_dims,
+              hdldp::protocol::ReportEncodingName(opts.encoding));
   PrintFaultOutcome(run.resumed_from_checkpoint, run.quarantined_chunks,
                     run.surviving_users);
   std::printf("%-24s %12.6g\n", "naive MSE", run.mse);
@@ -527,7 +522,7 @@ Status RunMean(Flags flags) {
   }
 
   if (recalibrate == "none") return Status::OK();
-  if (encoding == hdldp::protocol::ReportEncoding::kHadamard1) {
+  if (opts.encoding == hdldp::protocol::ReportEncoding::kHadamard1) {
     // The deviation model below describes the numeric mechanism's
     // perturbation; the 1-bit path has no mechanism, so HDR4ME
     // re-calibration is not offered (naive MSE above is the result).
@@ -590,18 +585,12 @@ Status RunFreq(Flags flags) {
   const std::size_t questions = flags.GetSize("questions", 16);
   const std::size_t categories = flags.GetSize("categories", 8);
   const double zipf = flags.GetDouble("zipf", 1.0);
-  const double epsilon = flags.GetDouble("epsilon", 1.0);
-  const std::size_t sampled = flags.GetSize("sampled", 0);
-  const std::uint64_t seed = flags.GetSize("seed", 1);
-  const std::size_t threads = flags.GetSize("threads", 1);
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdldp::SeedScheme seed_scheme,
-      ParseSeedScheme(flags.GetString("seed-scheme", "v3")));
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdldp::protocol::ReportEncoding encoding,
-      hdldp::protocol::ParseReportEncoding(
-          flags.GetString("encoding", "dense")));
-  HDLDP_ASSIGN_OR_RETURN(const FaultFlags ft, ParseFaultFlags(&flags));
+  hdldp::freq::FrequencyOptions opts;
+  HDLDP_ASSIGN_OR_RETURN(const FaultFlags ft, ParseRunFlags(&flags, &opts));
+  opts.report_dims = flags.GetSize("sampled", 0);
+  HDLDP_ASSIGN_OR_RETURN(opts.encoding,
+                         hdldp::protocol::ParseReportEncoding(
+                             flags.GetString("encoding", "dense")));
   if (!input.empty() && (flags.Has("users") || flags.Has("zipf"))) {
     return Status::InvalidArgument(
         "--input reads the population from the shard directory; drop "
@@ -615,16 +604,6 @@ Status RunFreq(Flags flags) {
                              std::vector<std::size_t>(questions, categories)));
   HDLDP_ASSIGN_OR_RETURN(auto mechanism,
                          hdldp::mech::MakeMechanism(mech_name));
-  hdldp::freq::FrequencyOptions opts;
-  opts.total_epsilon = epsilon;
-  opts.report_dims = sampled;
-  opts.seed = seed;
-  opts.seed_scheme = seed_scheme;
-  opts.num_threads = threads;
-  opts.retry = ft.retry;
-  opts.allow_missing_chunks = ft.allow_missing_chunks;
-  opts.checkpoint_path = ft.checkpoint;
-  opts.encoding = encoding;
 
   // Both branches resolve a base ChunkSource, optionally wrap it in the
   // deterministic fault injector, and run the source overload.
@@ -636,7 +615,7 @@ Status RunFreq(Flags flags) {
     HDLDP_ASSIGN_OR_RETURN(shard, hdldp::data::ShardFileSource::Open(input));
     source = &*shard;
   } else {
-    hdldp::Rng rng(seed ^ 0xF8E0ull);
+    hdldp::Rng rng(opts.seed ^ 0xF8E0ull);
     HDLDP_ASSIGN_OR_RETURN(
         dataset,
         hdldp::freq::GenerateCategorical(users_flag, schema, zipf, &rng));
@@ -644,21 +623,16 @@ Status RunFreq(Flags flags) {
     source = &*resident;
   }
   std::optional<hdldp::data::FaultInjectingChunkSource> faulty;
-  if (ft.inject) {
-    faulty.emplace(source,
-                   hdldp::data::FaultSchedule::Random(
-                       ft.fault_seed, source->num_chunks(), ft.random));
-    source = &*faulty;
-  }
+  source = ft.Wrap(source, &faulty);
   const std::size_t users = source->num_users();
   HDLDP_ASSIGN_OR_RETURN(const auto result,
                          hdldp::freq::RunFrequencyEstimation(
                              *source, schema, mechanism, opts));
   std::printf("mechanism=%s users=%zu questions=%zu categories=%zu eps=%g "
               "eps/entry=%g encoding=%s\n",
-              mech_name.c_str(), users, questions, categories, epsilon,
-              result.per_entry_epsilon,
-              hdldp::protocol::ReportEncodingName(encoding));
+              mech_name.c_str(), users, questions, categories,
+              opts.total_epsilon, result.per_entry_epsilon,
+              hdldp::protocol::ReportEncodingName(opts.encoding));
   PrintFaultOutcome(result.resumed_from_checkpoint, result.quarantined_chunks,
                     result.surviving_users);
   std::printf("%-24s %12.6g\n", "naive MSE", result.mse_raw);
@@ -712,40 +686,22 @@ Status RunVariance(Flags flags) {
   const std::string dataset_name = flags.GetString("dataset", "gaussian");
   const std::size_t users_flag = flags.GetSize("users", 20000);
   const std::size_t dims_flag = flags.GetSize("dims", 64);
-  const double epsilon = flags.GetDouble("epsilon", 1.0);
-  const std::uint64_t seed = flags.GetSize("seed", 1);
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdldp::SeedScheme seed_scheme,
-      ParseSeedScheme(flags.GetString("seed-scheme", "v3")));
-  const bool recalibrate = flags.GetBool("recalibrate");
-  HDLDP_ASSIGN_OR_RETURN(const FaultFlags ft, ParseFaultFlags(&flags));
+  hdldp::hdr4me::VarianceOptions opts;
+  HDLDP_ASSIGN_OR_RETURN(const FaultFlags ft, ParseRunFlags(&flags, &opts));
+  opts.recalibrate = flags.GetBool("recalibrate");
   if (!input.empty()) HDLDP_RETURN_NOT_OK(RejectGeneratorFlagsWithInput(flags));
   HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
 
   SourceHolder data;
   HDLDP_RETURN_NOT_OK(ResolveSource(input, chunk_keyed, dataset_name,
-                                    users_flag, dims_flag, seed ^ 0x5ECull,
-                                    &data));
+                                    users_flag, dims_flag,
+                                    opts.seed ^ 0x5ECull, &data));
   std::optional<hdldp::data::FaultInjectingChunkSource> faulty;
-  const hdldp::data::ChunkSource* source = data.source;
-  if (ft.inject) {
-    faulty.emplace(source,
-                   hdldp::data::FaultSchedule::Random(
-                       ft.fault_seed, source->num_chunks(), ft.random));
-    source = &*faulty;
-  }
+  const hdldp::data::ChunkSource* source = ft.Wrap(data.source, &faulty);
   const std::size_t users = source->num_users();
   const std::size_t dims = source->num_dims();
   HDLDP_ASSIGN_OR_RETURN(auto mechanism,
                          hdldp::mech::MakeMechanism(mech_name));
-  hdldp::hdr4me::VarianceOptions opts;
-  opts.total_epsilon = epsilon;
-  opts.seed = seed;
-  opts.seed_scheme = seed_scheme;
-  opts.recalibrate = recalibrate;
-  opts.retry = ft.retry;
-  opts.allow_missing_chunks = ft.allow_missing_chunks;
-  opts.checkpoint_path = ft.checkpoint;
   HDLDP_ASSIGN_OR_RETURN(
       const auto result,
       hdldp::hdr4me::RunVarianceEstimation(*source, mechanism, opts));
@@ -753,7 +709,7 @@ Status RunVariance(Flags flags) {
               "recalibrate=%d\n",
               mech_name.c_str(),
               input.empty() ? dataset_name.c_str() : input.c_str(), users,
-              dims, epsilon, recalibrate ? 1 : 0);
+              dims, opts.total_epsilon, opts.recalibrate ? 1 : 0);
   std::vector<std::size_t> quarantined = result.quarantined_values_chunks;
   quarantined.insert(quarantined.end(),
                      result.quarantined_squares_chunks.begin(),
