@@ -65,16 +65,14 @@ Result<std::vector<double>> ChunkSource::TrueMean() const {
   // Chunks in order means every column's compensated sum sees users in
   // exactly the order Dataset::TrueMean visits them — same bits.
   std::vector<NeumaierSum> sums(d);
-  ChunkBuffer buffer;
-  for (std::size_t c = 0; c < num_chunks(); ++c) {
-    HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                           Chunk(c, &buffer));
-    const std::size_t users = ChunkUsers(c);
-    for (std::size_t i = 0; i < users; ++i) {
-      const double* row = rows.data() + i * d;
-      for (std::size_t j = 0; j < d; ++j) sums[j].Add(row[j]);
-    }
-  }
+  HDLDP_RETURN_NOT_OK(ForEachSurvivingChunk(
+      *this, {}, [&](std::span<const double> rows, std::size_t users) {
+        for (std::size_t i = 0; i < users; ++i) {
+          const double* row = rows.data() + i * d;
+          for (std::size_t j = 0; j < d; ++j) sums[j].Add(row[j]);
+        }
+        return true;
+      }));
   std::vector<double> mean(d);
   for (std::size_t j = 0; j < d; ++j) {
     mean[j] = sums[j].Total() / static_cast<double>(n);

@@ -30,6 +30,7 @@
 #ifndef HDLDP_DATA_CHUNK_SOURCE_H_
 #define HDLDP_DATA_CHUNK_SOURCE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -194,6 +195,25 @@ class TransformedChunkSource final : public ChunkSource {
 Result<std::vector<double>> MaterializeRows(const ChunkSource& source,
                                             std::size_t first_row,
                                             std::size_t row_count);
+
+/// \brief Pulls the chunks of `source` in order, serially, calling
+/// visit(rows, users) for each until it returns false. Chunks listed in
+/// `skipped` (sorted ascending: a run's quarantined chunks) are never
+/// read, so reference passes over a quarantined run see exactly the
+/// surviving users, in user order.
+template <typename Visit>
+Status ForEachSurvivingChunk(const ChunkSource& source,
+                             std::span<const std::size_t> skipped,
+                             Visit&& visit) {
+  ChunkBuffer buffer;
+  for (std::size_t c = 0; c < source.num_chunks(); ++c) {
+    if (std::binary_search(skipped.begin(), skipped.end(), c)) continue;
+    HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
+                           source.Chunk(c, &buffer));
+    if (!visit(rows, source.ChunkUsers(c))) break;
+  }
+  return Status::OK();
+}
 
 }  // namespace data
 }  // namespace hdldp

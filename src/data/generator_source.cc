@@ -231,6 +231,28 @@ Result<std::span<const double>> GeneratorChunkSource::Chunk(
   return std::span<const double>(out.data(), out.size());
 }
 
+Result<Dataset> GenerateSequential(const GeneratorSpec& spec, Rng* rng) {
+  struct Classic {
+    Rng* rng;
+    Result<Dataset> operator()(const UniformSpec& s) const {
+      return GenerateUniform(s, rng);
+    }
+    Result<Dataset> operator()(const GaussianSpec& s) const {
+      return GenerateGaussian(s, rng);
+    }
+    Result<Dataset> operator()(const PoissonSpec& s) const {
+      return GeneratePoisson(s, rng);
+    }
+    Result<Dataset> operator()(const CorrelatedSpec& s) const {
+      return GenerateCorrelated(s, rng);
+    }
+    Result<Dataset> operator()(const DiscreteSpec& s) const {
+      return GenerateDiscrete(s, rng);
+    }
+  };
+  return std::visit(Classic{rng}, spec);
+}
+
 Result<Dataset> GenerateChunkKeyed(const GeneratorSpec& spec,
                                    std::uint64_t seed) {
   HDLDP_ASSIGN_OR_RETURN(GeneratorChunkSource source,

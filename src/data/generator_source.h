@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/rng.h"
 #include "data/chunk_source.h"
 #include "data/dataset.h"
 #include "data/generators.h"
@@ -53,6 +54,10 @@ inline constexpr std::uint64_t kGeneratorRowTag = 0x6b43a9b5e4f71c02ULL;
 /// Any synthetic dataset specification.
 using GeneratorSpec = std::variant<UniformSpec, GaussianSpec, PoissonSpec,
                                    CorrelatedSpec, DiscreteSpec>;
+
+/// \brief The classic sequential-stream generator of data/generators.h
+/// for any spec: one `rng` stream across the whole population.
+Result<Dataset> GenerateSequential(const GeneratorSpec& spec, Rng* rng);
 
 /// \brief Eager chunk-keyed generation: a resident Dataset whose values
 /// are bit-identical to what GeneratorChunkSource streams for the same

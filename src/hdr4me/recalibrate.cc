@@ -1,6 +1,9 @@
 #include "hdr4me/recalibrate.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "framework/value_distribution.h"
 
 namespace hdldp {
 namespace hdr4me {
@@ -116,6 +119,41 @@ Result<double> ImprovementProbability(
   return law.ProbThresholdExceeded(threshold);
 }
 }  // namespace
+
+Result<std::vector<framework::GaussianDeviation>> MarginalDeviations(
+    const data::ChunkSource& source,
+    std::span<const std::size_t> skipped_chunks,
+    const mech::Mechanism& mechanism, double eps_per_dim,
+    double expected_reports, const mech::Interval& data_domain) {
+  const std::size_t d = source.num_dims();
+  const std::size_t rows =
+      std::min<std::size_t>(source.SurvivingUsers(skipped_chunks), 2000);
+  std::vector<std::vector<double>> columns(d);
+  std::size_t taken = 0;
+  HDLDP_RETURN_NOT_OK(data::ForEachSurvivingChunk(
+      source, skipped_chunks,
+      [&](std::span<const double> chunk, std::size_t users) {
+        for (std::size_t i = 0; i < users && taken < rows; ++i, ++taken) {
+          for (std::size_t j = 0; j < d; ++j) {
+            columns[j].push_back(chunk[i * d + j]);
+          }
+        }
+        return taken < rows;
+      }));
+  std::vector<framework::GaussianDeviation> deviations;
+  deviations.reserve(d);
+  for (const std::vector<double>& column : columns) {
+    HDLDP_ASSIGN_OR_RETURN(
+        const framework::ValueDistribution values,
+        framework::ValueDistribution::FromSamples(column, 16));
+    HDLDP_ASSIGN_OR_RETURN(
+        const framework::DeviationModel model,
+        framework::ModelDeviation(mechanism, eps_per_dim, values,
+                                  expected_reports, data_domain));
+    deviations.push_back(model.deviation);
+  }
+  return deviations;
+}
 
 Result<double> ImprovementProbabilityL1(
     std::span<const framework::GaussianDeviation> deviations) {

@@ -20,10 +20,12 @@
 #ifndef HDLDP_HDR4ME_RECALIBRATE_H_
 #define HDLDP_HDR4ME_RECALIBRATE_H_
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
 #include "common/result.h"
+#include "data/chunk_source.h"
 #include "framework/deviation_model.h"
 #include "hdr4me/lambda.h"
 #include "mech/mechanism.h"
@@ -96,6 +98,20 @@ Result<RecalibrationResult> RecalibrateUniform(
     std::span<const double> theta_hat, const mech::Mechanism& mechanism,
     double eps_per_dim, const framework::ValueDistribution& values,
     double expected_reports, const Hdr4meOptions& options,
+    const mech::Interval& data_domain = {-1.0, 1.0});
+
+/// \brief Per-dimension deviation models of a run whose users' values
+/// `source` holds: ModelDeviation(mechanism, eps_per_dim, marginal_j,
+/// expected_reports, data_domain), where marginal_j is the 16-bin
+/// empirical distribution of dimension j over the first <= 2000 rows
+/// outside `skipped_chunks` (sorted ascending: the run's quarantined
+/// chunks, which are never read). A bounded gather at any population
+/// size.
+Result<std::vector<framework::GaussianDeviation>> MarginalDeviations(
+    const data::ChunkSource& source,
+    std::span<const std::size_t> skipped_chunks,
+    const mech::Mechanism& mechanism, double eps_per_dim,
+    double expected_reports,
     const mech::Interval& data_domain = {-1.0, 1.0});
 
 /// \brief Theorem 3's lower bound on the probability that HDR4ME-L1

@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "common/math.h"
-#include "framework/deviation_model.h"
-#include "framework/value_distribution.h"
 #include "protocol/metrics.h"
 
 namespace hdldp {
@@ -17,35 +15,64 @@ namespace hdr4me {
 namespace {
 
 // HDR4ME pass over one half's estimate, with per-dimension models built
-// from that half's empirical marginals (the first <= 2000 rows,
-// materialized from the half's source — a bounded gather regardless of
-// population size).
+// from that half's empirical marginals outside its quarantined chunks.
 Result<std::vector<double>> RecalibrateHalf(
-    const data::ChunkSource& half, const mech::Mechanism& mechanism,
-    const std::vector<double>& estimate, double per_dim_eps,
-    const mech::Interval& data_domain, const Hdr4meOptions& options,
-    double reports) {
-  const std::size_t rows = std::min<std::size_t>(half.num_users(), 2000);
-  const std::size_t d = half.num_dims();
-  HDLDP_ASSIGN_OR_RETURN(const std::vector<double> marginals,
-                         data::MaterializeRows(half, 0, rows));
-  std::vector<framework::GaussianDeviation> deviations;
-  deviations.reserve(d);
-  std::vector<double> column(rows);
-  for (std::size_t j = 0; j < d; ++j) {
-    for (std::size_t i = 0; i < rows; ++i) column[i] = marginals[i * d + j];
-    HDLDP_ASSIGN_OR_RETURN(
-        const framework::ValueDistribution values,
-        framework::ValueDistribution::FromSamples(column, 16));
-    HDLDP_ASSIGN_OR_RETURN(
-        const framework::DeviationModel model,
-        framework::ModelDeviation(mechanism, per_dim_eps, values, reports,
-                                  data_domain));
-    deviations.push_back(model.deviation);
-  }
+    const data::ChunkSource& half, std::span<const std::size_t> quarantined,
+    const mech::Mechanism& mechanism, const std::vector<double>& estimate,
+    double per_dim_eps, const mech::Interval& data_domain,
+    const Hdr4meOptions& options, double reports) {
+  HDLDP_ASSIGN_OR_RETURN(
+      const std::vector<framework::GaussianDeviation> deviations,
+      MarginalDeviations(half, quarantined, mechanism, per_dim_eps, reports,
+                         data_domain));
   HDLDP_ASSIGN_OR_RETURN(const RecalibrationResult result,
                          Recalibrate(estimate, deviations, options));
   return result.enhanced_mean;
+}
+
+// One part of the population and the chunks its run quarantined.
+struct Survivors {
+  const data::ChunkSource* source;
+  std::span<const std::size_t> quarantined;
+};
+
+// Ground-truth per-dimension variance over the surviving users of
+// `parts`: a mean pass, then a squared-deviation pass, each visiting the
+// parts in order and users in order within each, so on a fault-free run
+// the compensated sums see exactly the users, in the order, of the
+// resident Dataset::TrueMean and variance loops (same bits).
+Result<std::vector<double>> SurvivingVariance(
+    std::span<const Survivors> parts, std::size_t d) {
+  std::size_t n = 0;
+  for (const Survivors& part : parts) {
+    n += part.source->SurvivingUsers(part.quarantined);
+  }
+  if (n == 0) {
+    return Status::FailedPrecondition(
+        "every chunk was quarantined; no surviving users to estimate");
+  }
+  std::vector<double> mean(d);
+  std::vector<double> variance(d);
+  for (std::vector<double>* moment : {&mean, &variance}) {
+    std::vector<NeumaierSum> acc(d);
+    for (const Survivors& part : parts) {
+      HDLDP_RETURN_NOT_OK(data::ForEachSurvivingChunk(
+          *part.source, part.quarantined,
+          [&](std::span<const double> rows, std::size_t users) {
+            for (std::size_t i = 0; i < users; ++i) {
+              for (std::size_t j = 0; j < d; ++j) {
+                const double v = rows[i * d + j];
+                acc[j].Add(moment == &mean ? v : Sq(v - mean[j]));
+              }
+            }
+            return true;
+          }));
+    }
+    for (std::size_t j = 0; j < d; ++j) {
+      (*moment)[j] = acc[j].Total() / static_cast<double>(n);
+    }
+  }
+  return variance;
 }
 
 }  // namespace
@@ -96,7 +123,7 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
   }
   HDLDP_ASSIGN_OR_RETURN(
       const auto mean_run,
-      protocol::RunMeanEstimation(values_half, mechanism, mean_opts));
+      protocol::EstimateMean(values_half, mechanism, mean_opts));
 
   protocol::PipelineOptions square_opts = mean_opts;
   square_opts.seed = options.seed ^ 0x5ECC0ull;
@@ -105,7 +132,7 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
   }
   HDLDP_ASSIGN_OR_RETURN(
       const auto square_run,
-      protocol::RunMeanEstimation(squares_embedded, mechanism, square_opts));
+      protocol::EstimateMean(squares_embedded, mechanism, square_opts));
 
   VarianceEstimationResult result;
   result.quarantined_values_chunks = mean_run.quarantined_chunks;
@@ -133,14 +160,15 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
                              m / static_cast<double>(d);
     HDLDP_ASSIGN_OR_RETURN(
         result.estimated_mean,
-        RecalibrateHalf(values_half, *mechanism, result.estimated_mean,
-                        eps_per_dim, {-1.0, 1.0}, options.hdr4me, reports_a));
+        RecalibrateHalf(values_half, mean_run.quarantined_chunks, *mechanism,
+                        result.estimated_mean, eps_per_dim, {-1.0, 1.0},
+                        options.hdr4me, reports_a));
     // The second moment lives in [0, 1]; re-calibrate in that domain.
     HDLDP_ASSIGN_OR_RETURN(
         result.estimated_second_moment,
-        RecalibrateHalf(squares_half, *mechanism,
-                        result.estimated_second_moment, eps_per_dim,
-                        {0.0, 1.0}, options.hdr4me, reports_b));
+        RecalibrateHalf(squares_half, square_run.quarantined_chunks,
+                        *mechanism, result.estimated_second_moment,
+                        eps_per_dim, {0.0, 1.0}, options.hdr4me, reports_b));
   }
 
   // Combine and score.
@@ -150,27 +178,9 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
         std::max(0.0, result.estimated_second_moment[j] -
                           Sq(result.estimated_mean[j]));
   }
-  // True variance: one streaming pass, chunks in user order, so the
-  // per-dimension compensated sums match the resident-dataset loop bit
-  // for bit.
-  HDLDP_ASSIGN_OR_RETURN(const std::vector<double> true_mean,
-                         source.TrueMean());
-  std::vector<NeumaierSum> acc(d);
-  data::ChunkBuffer buffer;
-  for (std::size_t c = 0; c < source.num_chunks(); ++c) {
-    HDLDP_ASSIGN_OR_RETURN(const std::span<const double> rows,
-                           source.Chunk(c, &buffer));
-    const std::size_t users = source.ChunkUsers(c);
-    for (std::size_t i = 0; i < users; ++i) {
-      for (std::size_t j = 0; j < d; ++j) {
-        acc[j].Add(Sq(rows[i * d + j] - true_mean[j]));
-      }
-    }
-  }
-  result.true_variance.resize(d);
-  for (std::size_t j = 0; j < d; ++j) {
-    result.true_variance[j] = acc[j].Total() / static_cast<double>(n);
-  }
+  const Survivors parts[] = {{&values_half, mean_run.quarantined_chunks},
+                             {&raw_half_b, square_run.quarantined_chunks}};
+  HDLDP_ASSIGN_OR_RETURN(result.true_variance, SurvivingVariance(parts, d));
   HDLDP_ASSIGN_OR_RETURN(
       result.mse, protocol::MeanSquaredError(result.estimated_variance,
                                              result.true_variance));

@@ -53,7 +53,10 @@ struct VarianceOptions : protocol::PipelineOptions {
 struct VarianceEstimationResult {
   /// Estimated per-dimension variance (clamped to >= 0).
   std::vector<double> estimated_variance;
-  /// Ground-truth population variance of the dataset.
+  /// Ground-truth variance of the users the estimates cover: the whole
+  /// population on a fault-free run; under allow_missing_chunks, both
+  /// halves minus their quarantined chunks (`surviving_users` users),
+  /// which are never read.
   std::vector<double> true_variance;
   /// The two intermediate estimates: mean (data domain [-1, 1]) and
   /// second moment (data domain [0, 1]).

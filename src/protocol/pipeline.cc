@@ -228,9 +228,9 @@ Result<CheckpointedReduce> ReduceCheckpointed(
                             resumed};
 }
 
-Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
-                                               mech::MechanismPtr mechanism,
-                                               const PipelineOptions& options) {
+Result<MeanEstimationResult> EstimateMean(const data::ChunkSource& source,
+                                          mech::MechanismPtr mechanism,
+                                          const PipelineOptions& options) {
   if (options.encoding == ReportEncoding::kOue ||
       options.encoding == ReportEncoding::kOlh) {
     return Status::InvalidArgument(
@@ -265,17 +265,25 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
 
   MeanEstimationResult result;
   result.estimated_mean = reduced.aggregator.EstimatedMean();
-  HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
   result.report_counts.reserve(d);
   for (std::size_t j = 0; j < d; ++j) {
     result.report_counts.push_back(reduced.aggregator.ReportCount(j));
   }
   result.per_dim_epsilon = path.per_dim_epsilon;
-  HDLDP_ASSIGN_OR_RETURN(
-      result.mse, MeanSquaredError(result.estimated_mean, result.true_mean));
   result.surviving_users = source.SurvivingUsers(reduced.quarantined_chunks);
   result.quarantined_chunks = std::move(reduced.quarantined_chunks);
   result.resumed_from_checkpoint = reduced.resumed;
+  return result;
+}
+
+Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
+                                               mech::MechanismPtr mechanism,
+                                               const PipelineOptions& options) {
+  HDLDP_ASSIGN_OR_RETURN(MeanEstimationResult result,
+                         EstimateMean(source, std::move(mechanism), options));
+  HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
+  HDLDP_ASSIGN_OR_RETURN(
+      result.mse, MeanSquaredError(result.estimated_mean, result.true_mean));
   return result;
 }
 

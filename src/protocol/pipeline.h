@@ -111,6 +111,15 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
                                                mech::MechanismPtr mechanism,
                                                const PipelineOptions& options);
 
+/// \brief RunMeanEstimation without the ground truth: `true_mean` stays
+/// empty and `mse` 0, and no reference pass reads the source. For
+/// callers that score against a reference of their own, such as the
+/// variance halves, which are views whose quarantined chunks must not be
+/// read again.
+Result<MeanEstimationResult> EstimateMean(const data::ChunkSource& source,
+                                          mech::MechanismPtr mechanism,
+                                          const PipelineOptions& options);
+
 /// \brief Resident-dataset convenience wrapper: adapts `dataset` through
 /// data::ResidentChunkSource (zero-copy) and runs the source overload.
 Result<MeanEstimationResult> RunMeanEstimation(const data::Dataset& dataset,

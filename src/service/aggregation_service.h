@@ -123,8 +123,6 @@ struct ServiceOptions {
   /// Map from the mechanism's native output space back to the data
   /// domain, applied when publishing estimates.
   mech::DomainMap domain_map;
-  /// Optional per-dimension additive bias correction (empty = none).
-  std::vector<double> native_bias;
 
   /// Report validation: entries per report (0 = don't check) and the
   /// admissible native-space value range (infinities = unbounded).
@@ -140,8 +138,8 @@ struct ServiceOptions {
   /// Create() rejects a codec whose service_dims() differ from num_dims.
   PayloadCodecOptions codec;
 
-  /// Ingestion workers (0 = one per hardware thread). Published
-  /// estimates never depend on this.
+  /// Ingestion workers, at most kNumShardGroups (0 = one per hardware
+  /// thread, capped there). Published estimates never depend on this.
   std::size_t num_workers = 1;
   /// Capacity of each worker's ingestion queue.
   std::size_t queue_capacity = 1024;

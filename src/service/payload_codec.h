@@ -59,8 +59,6 @@ class PayloadCodec {
   /// geometry/budget.
   static Result<PayloadCodec> Create(const PayloadCodecOptions& options);
 
-  protocol::ReportEncoding encoding() const { return options_.encoding; }
-
   /// Aggregated dimensionality the service must run at: q * c for the
   /// frequency oracles, d for Hadamard.
   std::size_t service_dims() const { return service_dims_; }
@@ -70,6 +68,11 @@ class PayloadCodec {
   /// unbiased entry estimate).
   double output_lo() const { return output_lo_; }
   double output_hi() const { return output_hi_; }
+  /// The validated encoding parameters; only the one matching the
+  /// configured encoding is set.
+  const freq::OueParams& oue() const { return oue_; }
+  const freq::OlhParams& olh() const { return olh_; }
+  const protocol::Hadamard1Params& hadamard() const { return hadamard_; }
 
   /// \brief Decodes one wire payload into unbiased report entries.
   /// InvalidArgument/DataLoss on malformed bytes or geometry mismatch.

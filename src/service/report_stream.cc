@@ -48,89 +48,61 @@ Result<ReportStream> ReportStream::Create(const ReportStreamOptions& options) {
       options.encoding == protocol::ReportEncoding::kOlh ||
       options.encoding == protocol::ReportEncoding::kHadamard1;
   if (compact) {
+    const bool mean = options.workload == StreamWorkload::kMean;
+    if (mean != (options.encoding == protocol::ReportEncoding::kHadamard1)) {
+      return Status::InvalidArgument(
+          mean ? "mean streams support dense|sampled|hadamard1 encodings"
+               : "freq streams support dense|sampled|oue|olh encodings");
+    }
     // Compact payloads decode straight into the data domain, so the
-    // service runs with an identity map and the codec's value range.
+    // service runs with an identity map and the codec's geometry and
+    // value range.
+    HDLDP_ASSIGN_OR_RETURN(PayloadCodec codec,
+                           PayloadCodec::Create(stream.CodecOptions()));
+    stream.service_dims_ = codec.service_dims();
+    stream.expected_entries_ = codec.expected_entries();
+    stream.output_lo_ = codec.output_lo();
+    stream.output_hi_ = codec.output_hi();
+    stream.codec_.emplace(std::move(codec));
+  } else {
+    double per_entry_epsilon = 0.0;
     if (options.workload == StreamWorkload::kMean) {
-      if (options.encoding != protocol::ReportEncoding::kHadamard1) {
-        return Status::InvalidArgument(
-            "mean streams support dense|sampled|hadamard1 encodings");
-      }
+      protocol::ClientOptions client_options;
+      client_options.total_epsilon = options.epsilon;
+      client_options.report_dims = options.report_dims;
       HDLDP_ASSIGN_OR_RETURN(
-          const protocol::Hadamard1Params hadamard,
-          protocol::Hadamard1Params::Create(options.num_dims, m,
-                                            options.epsilon));
-      stream.hadamard_.emplace(hadamard);
+          protocol::Client client,
+          protocol::Client::Create(mechanism, options.num_dims,
+                                   client_options));
+      stream.domain_map_ = client.domain_map();
       stream.service_dims_ = options.num_dims;
       stream.expected_entries_ = m;
-      stream.output_hi_ = hadamard.bound * hadamard.c_inv;
-      stream.output_lo_ = -stream.output_hi_;
+      per_entry_epsilon = client.PerDimensionEpsilon();
+      stream.client_.emplace(std::move(client));
     } else {
-      if (options.encoding == protocol::ReportEncoding::kHadamard1) {
-        return Status::InvalidArgument(
-            "freq streams support dense|sampled|oue|olh encodings");
-      }
       if (options.num_categories < 2) {
         return Status::InvalidArgument(
             "freq stream requires num_categories >= 2");
       }
-      const double per_dim = options.epsilon / static_cast<double>(m);
-      if (options.encoding == protocol::ReportEncoding::kOue) {
-        HDLDP_ASSIGN_OR_RETURN(stream.oue_,
-                               freq::OueParams::FromEpsilon(per_dim));
-        stream.output_lo_ = stream.oue_.EntryValue(false);
-        stream.output_hi_ = stream.oue_.EntryValue(true);
-      } else {
-        HDLDP_ASSIGN_OR_RETURN(stream.olh_,
-                               freq::OlhParams::FromEpsilon(per_dim));
-        stream.output_lo_ = stream.olh_.EntryValue(false);
-        stream.output_hi_ = stream.olh_.EntryValue(true);
-      }
-      stream.per_entry_epsilon_ = per_dim;
+      HDLDP_ASSIGN_OR_RETURN(
+          per_entry_epsilon,
+          protocol::BudgetAccountant::PerEntryBudget(options.epsilon, m));
+      HDLDP_RETURN_NOT_OK(mechanism->ValidateBudget(per_entry_epsilon));
+      stream.entry_plan_.emplace(mechanism->MakePlan(per_entry_epsilon));
+      // One-hot entries live in {0, 1}; map that onto the mechanism's
+      // native input domain, exactly like the freq pipeline does.
+      HDLDP_ASSIGN_OR_RETURN(
+          stream.domain_map_,
+          mech::DomainMap::Between(mech::Interval{0.0, 1.0},
+                                   mechanism->InputDomain()));
       stream.service_dims_ = options.num_dims * options.num_categories;
       stream.expected_entries_ = m * options.num_categories;
     }
-    const std::uint64_t fault_seed =
-        options.fault_seed != 0 ? options.fault_seed : options.seed;
-    stream.fault_schedule_ =
-        data::ReportFaultSchedule(fault_seed, options.faults);
-    return stream;
+    HDLDP_ASSIGN_OR_RETURN(const mech::Interval output,
+                           mechanism->OutputDomain(per_entry_epsilon));
+    stream.output_lo_ = output.lo;
+    stream.output_hi_ = output.hi;
   }
-  if (options.workload == StreamWorkload::kMean) {
-    protocol::ClientOptions client_options;
-    client_options.total_epsilon = options.epsilon;
-    client_options.report_dims = options.report_dims;
-    HDLDP_ASSIGN_OR_RETURN(
-        protocol::Client client,
-        protocol::Client::Create(mechanism, options.num_dims,
-                                 client_options));
-    stream.domain_map_ = client.domain_map();
-    stream.service_dims_ = options.num_dims;
-    stream.expected_entries_ = m;
-    stream.per_entry_epsilon_ = client.PerDimensionEpsilon();
-    stream.client_.emplace(std::move(client));
-  } else {
-    if (options.num_categories < 2) {
-      return Status::InvalidArgument(
-          "freq stream requires num_categories >= 2");
-    }
-    HDLDP_ASSIGN_OR_RETURN(
-        stream.per_entry_epsilon_,
-        protocol::BudgetAccountant::PerEntryBudget(options.epsilon, m));
-    HDLDP_RETURN_NOT_OK(mechanism->ValidateBudget(stream.per_entry_epsilon_));
-    stream.entry_plan_.emplace(mechanism->MakePlan(stream.per_entry_epsilon_));
-    // One-hot entries live in {0, 1}; map that onto the mechanism's
-    // native input domain, exactly like the freq pipeline does.
-    HDLDP_ASSIGN_OR_RETURN(
-        stream.domain_map_,
-        mech::DomainMap::Between(mech::Interval{0.0, 1.0},
-                                 mechanism->InputDomain()));
-    stream.service_dims_ = options.num_dims * options.num_categories;
-    stream.expected_entries_ = m * options.num_categories;
-  }
-  HDLDP_ASSIGN_OR_RETURN(const mech::Interval output,
-                         mechanism->OutputDomain(stream.per_entry_epsilon_));
-  stream.output_lo_ = output.lo;
-  stream.output_hi_ = output.hi;
   const std::uint64_t fault_seed =
       options.fault_seed != 0 ? options.fault_seed : options.seed;
   stream.fault_schedule_ =
@@ -162,102 +134,82 @@ PayloadCodecOptions ReportStream::CodecOptions() const {
 //   that question's OueEncodeDim / OlhEncodeDim draws; the payload dims
 //   are sorted ascending only after all draws (wire framing order never
 //   feeds back into the stream).
-Status ReportStream::GenerateCompact(std::uint64_t index,
-                                     std::vector<std::uint8_t>* out) {
-  Rng rng(ReportSeed(options_.seed, index));
-  std::vector<std::uint8_t> payload;
+Result<std::vector<std::uint8_t>> ReportStream::CompactPayload(Rng* rng) {
   if (options_.encoding == protocol::ReportEncoding::kHadamard1) {
+    const protocol::Hadamard1Params& hadamard = codec_->hadamard();
     tuple_.resize(options_.num_dims);
-    for (double& v : tuple_) v = rng.Uniform(-1.0, 1.0);
+    for (double& v : tuple_) v = rng->Uniform(-1.0, 1.0);
     const std::uint32_t sample_seed =
-        static_cast<std::uint32_t>(rng.Next() >> 32);
-    protocol::Hadamard1SampleDims(sample_seed, hadamard_->num_dims,
-                                  hadamard_->report_dims, &sampled_);
+        static_cast<std::uint32_t>(rng->Next() >> 32);
+    protocol::Hadamard1SampleDims(sample_seed, hadamard.num_dims,
+                                  hadamard.report_dims, &sampled_);
     gathered_.clear();
     for (const std::uint32_t dim : sampled_) gathered_.push_back(tuple_[dim]);
     const protocol::Hadamard1Report encoded =
-        protocol::Hadamard1Encode(*hadamard_, gathered_, &rng);
+        protocol::Hadamard1Encode(hadamard, gathered_, rng);
     protocol::Hadamard1Payload wire;
     wire.num_dims = static_cast<std::uint32_t>(options_.num_dims);
-    wire.report_dims = static_cast<std::uint32_t>(hadamard_->report_dims);
+    wire.report_dims = static_cast<std::uint32_t>(hadamard.report_dims);
     wire.sample_seed = sample_seed;
     wire.index = encoded.index;
     wire.positive = encoded.positive;
-    HDLDP_ASSIGN_OR_RETURN(payload, protocol::EncodeHadamard1Payload(wire));
-  } else {
-    const std::size_t m = options_.report_dims == 0 ? options_.num_dims
-                                                    : options_.report_dims;
-    const std::size_t c = options_.num_categories;
-    sampled_.clear();
-    rng.SampleWithoutReplacement(options_.num_dims, m, &sampled_);
-    if (options_.encoding == protocol::ReportEncoding::kOue) {
-      protocol::OuePayload wire;
-      wire.num_dims = options_.num_dims;
-      wire.dims.reserve(m);
-      for (const std::uint32_t question : sampled_) {
-        const auto answer = static_cast<std::uint32_t>(rng.UniformInt(c));
-        protocol::OuePayloadDim dim;
-        dim.dimension = question;
-        dim.cardinality = static_cast<std::uint32_t>(c);
-        freq::OueEncodeDim(oue_, answer, c, &rng, &dim.bits);
-        wire.dims.push_back(std::move(dim));
-      }
-      std::sort(wire.dims.begin(), wire.dims.end(),
-                [](const protocol::OuePayloadDim& a,
-                   const protocol::OuePayloadDim& b) {
-                  return a.dimension < b.dimension;
-                });
-      HDLDP_ASSIGN_OR_RETURN(payload, protocol::EncodeOuePayload(wire));
-    } else {
-      protocol::OlhPayload wire;
-      wire.num_dims = options_.num_dims;
-      wire.dims.reserve(m);
-      for (const std::uint32_t question : sampled_) {
-        const auto answer = static_cast<std::uint32_t>(rng.UniformInt(c));
-        const freq::OlhDimReport encoded =
-            freq::OlhEncodeDim(olh_, answer, &rng);
-        wire.dims.push_back(protocol::OlhPayloadDim{
-            question, static_cast<std::uint32_t>(olh_.g), encoded.hash_seed,
-            encoded.value});
-      }
-      std::sort(wire.dims.begin(), wire.dims.end(),
-                [](const protocol::OlhPayloadDim& a,
-                   const protocol::OlhPayloadDim& b) {
-                  return a.dimension < b.dimension;
-                });
-      HDLDP_ASSIGN_OR_RETURN(payload, protocol::EncodeOlhPayload(wire));
-    }
+    return protocol::EncodeHadamard1Payload(wire);
   }
-  protocol::ReportEnvelope envelope;
-  envelope.tenant = index % options_.num_tenants;
-  envelope.sequence = index / options_.num_tenants;
-  envelope.tick = options_.reports_per_tick == 0
-                      ? 0
-                      : index / options_.reports_per_tick;
-  envelope.payload = std::move(payload);
-  *out = protocol::EncodeEnvelope(envelope);
-  return Status::OK();
+  const std::size_t m = options_.report_dims == 0 ? options_.num_dims
+                                                  : options_.report_dims;
+  const std::size_t c = options_.num_categories;
+  sampled_.clear();
+  rng->SampleWithoutReplacement(options_.num_dims, m, &sampled_);
+  if (options_.encoding == protocol::ReportEncoding::kOue) {
+    protocol::OuePayload wire;
+    wire.num_dims = options_.num_dims;
+    wire.dims.reserve(m);
+    for (const std::uint32_t question : sampled_) {
+      const auto answer = static_cast<std::uint32_t>(rng->UniformInt(c));
+      protocol::OuePayloadDim dim;
+      dim.dimension = question;
+      dim.cardinality = static_cast<std::uint32_t>(c);
+      freq::OueEncodeDim(codec_->oue(), answer, c, rng, &dim.bits);
+      wire.dims.push_back(std::move(dim));
+    }
+    std::sort(wire.dims.begin(), wire.dims.end(),
+              [](const protocol::OuePayloadDim& a,
+                 const protocol::OuePayloadDim& b) {
+                return a.dimension < b.dimension;
+              });
+    return protocol::EncodeOuePayload(wire);
+  }
+  const freq::OlhParams& olh = codec_->olh();
+  protocol::OlhPayload wire;
+  wire.num_dims = options_.num_dims;
+  wire.dims.reserve(m);
+  for (const std::uint32_t question : sampled_) {
+    const auto answer = static_cast<std::uint32_t>(rng->UniformInt(c));
+    const freq::OlhDimReport encoded = freq::OlhEncodeDim(olh, answer, rng);
+    wire.dims.push_back(protocol::OlhPayloadDim{
+        question, static_cast<std::uint32_t>(olh.g), encoded.hash_seed,
+        encoded.value});
+  }
+  std::sort(wire.dims.begin(), wire.dims.end(),
+            [](const protocol::OlhPayloadDim& a,
+               const protocol::OlhPayloadDim& b) {
+              return a.dimension < b.dimension;
+            });
+  return protocol::EncodeOlhPayload(wire);
 }
 
-Status ReportStream::Generate(std::uint64_t index,
-                              std::vector<std::uint8_t>* out) {
-  if (options_.encoding == protocol::ReportEncoding::kOue ||
-      options_.encoding == protocol::ReportEncoding::kOlh ||
-      options_.encoding == protocol::ReportEncoding::kHadamard1) {
-    return GenerateCompact(index, out);
-  }
-  Rng rng(ReportSeed(options_.seed, index));
+Result<std::vector<std::uint8_t>> ReportStream::NumericPayload(Rng* rng) {
   protocol::UserReport report;
   if (options_.workload == StreamWorkload::kMean) {
     tuple_.resize(options_.num_dims);
-    for (double& v : tuple_) v = rng.Uniform(-1.0, 1.0);
-    HDLDP_ASSIGN_OR_RETURN(report, client_->Report(tuple_, &rng));
+    for (double& v : tuple_) v = rng->Uniform(-1.0, 1.0);
+    HDLDP_ASSIGN_OR_RETURN(report, client_->Report(tuple_, rng));
   } else {
     const std::size_t m = options_.report_dims == 0 ? options_.num_dims
                                                     : options_.report_dims;
     const std::size_t c = options_.num_categories;
     sampled_.clear();
-    rng.SampleWithoutReplacement(options_.num_dims, m, &sampled_);
+    rng->SampleWithoutReplacement(options_.num_dims, m, &sampled_);
     report.entries.reserve(m * c);
     const double natives[2] = {domain_map_.Forward(0.0),
                                domain_map_.Forward(1.0)};
@@ -265,25 +217,31 @@ Status ReportStream::Generate(std::uint64_t index,
         [&](const auto& plan) {
           for (const std::uint32_t question : sampled_) {
             const std::size_t answer =
-                static_cast<std::size_t>(rng.UniformInt(c));
+                static_cast<std::size_t>(rng->UniformInt(c));
             for (std::size_t k = 0; k < c; ++k) {
               report.entries.push_back(protocol::DimensionReport{
                   static_cast<std::uint32_t>(question * c + k),
-                  plan(natives[k == answer], &rng)});
+                  plan(natives[k == answer], rng)});
             }
           }
         },
         *entry_plan_);
   }
-  HDLDP_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> payload,
-                         protocol::EncodeReport(report));
+  return protocol::EncodeReport(report);
+}
+
+Status ReportStream::Generate(std::uint64_t index,
+                              std::vector<std::uint8_t>* out) {
+  Rng rng(ReportSeed(options_.seed, index));
   protocol::ReportEnvelope envelope;
   envelope.tenant = index % options_.num_tenants;
   envelope.sequence = index / options_.num_tenants;
   envelope.tick = options_.reports_per_tick == 0
                       ? 0
                       : index / options_.reports_per_tick;
-  envelope.payload = payload;
+  HDLDP_ASSIGN_OR_RETURN(envelope.payload, codec_.has_value()
+                                               ? CompactPayload(&rng)
+                                               : NumericPayload(&rng));
   *out = protocol::EncodeEnvelope(envelope);
   return Status::OK();
 }

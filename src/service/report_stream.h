@@ -33,7 +33,6 @@
 #include "data/fault_injection.h"
 #include "mech/mechanism.h"
 #include "protocol/client.h"
-#include "protocol/hadamard.h"
 #include "protocol/wire.h"
 #include "service/payload_codec.h"
 
@@ -144,23 +143,22 @@ class ReportStream {
 
   /// Envelope bytes of logical report `index` — pure in (options, index).
   Status Generate(std::uint64_t index, std::vector<std::uint8_t>* out);
-  /// The compact-encoding arm of Generate (draw layout documented at the
-  /// definition; frozen).
-  Status GenerateCompact(std::uint64_t index, std::vector<std::uint8_t>* out);
+  /// The report's payload bytes, drawn from its own Rng (draw layouts
+  /// documented at the definitions; frozen).
+  Result<std::vector<std::uint8_t>> NumericPayload(Rng* rng);
+  Result<std::vector<std::uint8_t>> CompactPayload(Rng* rng);
 
   ReportStreamOptions options_;
   std::optional<protocol::Client> client_;  // kMean only
-  // kFreq numeric only: the mechanism prepared at per_entry_epsilon_.
+  // kFreq numeric only: the mechanism prepared at the per-entry budget.
   std::optional<mech::SamplerPlan> entry_plan_;
-  // Compact-encoding parameters (one of them, matching options_.encoding).
-  std::optional<protocol::Hadamard1Params> hadamard_;
-  freq::OueParams oue_;
-  freq::OlhParams olh_;
+  // Compact encodings only: the codec a matching service decodes with,
+  // whose parameters the encoders draw through.
+  std::optional<PayloadCodec> codec_;
   mech::DomainMap domain_map_;
   data::ReportFaultSchedule fault_schedule_;
   std::size_t service_dims_ = 0;
   std::size_t expected_entries_ = 0;
-  double per_entry_epsilon_ = 0.0;  // kFreq perturbation budget
   double output_lo_ = 0.0;
   double output_hi_ = 0.0;
 

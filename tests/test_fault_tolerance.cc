@@ -10,10 +10,12 @@
 #include <mutex>
 #include <vector>
 
+#include "common/math.h"
 #include "common/rng.h"
 #include "data/chunk_source.h"
 #include "data/fault_injection.h"
 #include "data/generators.h"
+#include "hdr4me/variance.h"
 #include "mech/registry.h"
 #include "protocol/pipeline.h"
 
@@ -244,6 +246,56 @@ TEST(PipelineFaultTest, QuarantinedEstimateMatchesSurvivorsOnlyRun) {
   const auto direct =
       protocol::RunMeanEstimation(survivors, Mech(), BaseOptions()).value();
   EXPECT_EQ(quarantined.estimated_mean, direct.estimated_mean);
+}
+
+TEST(PipelineFaultTest, VarianceQuarantineNeverRereadsQuarantinedChunks) {
+  // The 9192 users split at 4596: a persistent fault on base chunk 1
+  // quarantines the values half's chunk 1 (users 4096..4595) and the
+  // squares half's chunk 0 (users 4596..8691, straddling base chunks 1
+  // and 2). Neither the HDR4ME marginal sample nor the ground-truth pass
+  // may pull them again.
+  const Dataset dataset = TestDataset();
+  const ResidentChunkSource base(&dataset);
+  FaultSchedule schedule;
+  schedule.Add({.kind = FaultSpec::Kind::kPersistent, .chunk = 1});
+  const FaultInjectingChunkSource faulty(&base, schedule);
+  hdr4me::VarianceOptions opts;
+  opts.total_epsilon = 1.0;
+  opts.seed = 5;
+  opts.num_threads = 2;
+  opts.allow_missing_chunks = true;
+  opts.recalibrate = true;
+  const auto run = hdr4me::RunVarianceEstimation(faulty, Mech(), opts);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->quarantined_values_chunks, std::vector<std::size_t>{1});
+  EXPECT_EQ(run->quarantined_squares_chunks, std::vector<std::size_t>{0});
+  constexpr std::size_t kTailBegin = 4596 + 4096;
+  EXPECT_EQ(run->surviving_users, 4096 + (kUsers - kTailBegin));
+
+  // The ground truth covers exactly the surviving users, in user order.
+  std::vector<std::size_t> survivors;
+  for (std::size_t i = 0; i < kUsers; ++i) {
+    if (i < 4096 || i >= kTailBegin) survivors.push_back(i);
+  }
+  for (std::size_t j = 0; j < kDims; ++j) {
+    NeumaierSum sum;
+    for (const std::size_t i : survivors) sum.Add(dataset.Row(i)[j]);
+    const double mean = sum.Total() / static_cast<double>(survivors.size());
+    NeumaierSum squares;
+    for (const std::size_t i : survivors) {
+      squares.Add(Sq(dataset.Row(i)[j] - mean));
+    }
+    EXPECT_EQ(run->true_variance[j],
+              squares.Total() / static_cast<double>(survivors.size()))
+        << "dim " << j;
+  }
+
+  // Without the opt-in the same fault fails the run cleanly.
+  opts.allow_missing_chunks = false;
+  EXPECT_EQ(hdr4me::RunVarianceEstimation(faulty, Mech(), opts)
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(RetryPolicyTest, BackoffSequenceIsExponential) {

@@ -832,6 +832,27 @@ TEST(ServiceTest, UnsupportedOptionsAreTypedInvalidArgument) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(ServiceTest, WorkerCountIsBoundedByTheShardGroups) {
+  // Reports route by GroupOf(tenant) % workers, so a worker past the
+  // group count would never receive one: refuse it, and cap the
+  // one-per-hardware-thread default there.
+  ServiceOptions too_many = ManualOptions();
+  too_many.num_workers = kNumShardGroups + 1;
+  EXPECT_EQ(AggregationService::Create(too_many).status().code(),
+            StatusCode::kInvalidArgument);
+  ServiceOptions most = ManualOptions();
+  most.num_workers = kNumShardGroups;
+  const auto at_bound = AggregationService::Create(most);
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status().ToString();
+  EXPECT_EQ((*at_bound)->num_workers(), kNumShardGroups);
+  ServiceOptions automatic = ManualOptions();
+  automatic.num_workers = 0;
+  const auto defaulted = AggregationService::Create(automatic);
+  ASSERT_TRUE(defaulted.ok()) << defaulted.status().ToString();
+  EXPECT_GE((*defaulted)->num_workers(), 1u);
+  EXPECT_LE((*defaulted)->num_workers(), kNumShardGroups);
+}
+
 TEST(WindowConfigTest, GeometryAndSealing) {
   WindowConfig tumbling;
   tumbling.width = 3;

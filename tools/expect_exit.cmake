@@ -5,7 +5,10 @@
 #
 # Usage:
 #   cmake -DEXPECT=<code> "-DCMD=<prog;arg;arg...>"
-#         [-DGARBAGE_SHARD=<dir>] -P expect_exit.cmake
+#         [-DEXPECT_ERROR=<regex>] [-DGARBAGE_SHARD=<dir>] -P expect_exit.cmake
+#
+# EXPECT_ERROR, when set, must also match the command's stderr (e.g. the
+# flag a validation error names).
 #
 # GARBAGE_SHARD, when set, (re)creates <dir> holding one file that is
 # not a valid shard part — the fixture behind the exit-4 test.
@@ -20,7 +23,14 @@ if(DEFINED GARBAGE_SHARD)
   file(WRITE "${GARBAGE_SHARD}/part-00000.hds" "this is not a shard part")
 endif()
 
-execute_process(COMMAND ${CMD} RESULT_VARIABLE rc)
+if(DEFINED EXPECT_ERROR)
+  execute_process(COMMAND ${CMD} RESULT_VARIABLE rc ERROR_VARIABLE err)
+else()
+  execute_process(COMMAND ${CMD} RESULT_VARIABLE rc)
+endif()
 if(NOT rc EQUAL "${EXPECT}")
   message(FATAL_ERROR "expected exit ${EXPECT}, got '${rc}': ${CMD}")
+endif()
+if(DEFINED EXPECT_ERROR AND NOT err MATCHES "${EXPECT_ERROR}")
+  message(FATAL_ERROR "stderr does not match '${EXPECT_ERROR}': ${err}")
 endif()

@@ -129,14 +129,26 @@
 //       per-report scalar streams: --seed-scheme=v1 is the only
 //       accepted scheme; v2/v3 are a typed validation error.
 //
-// All flags are --key=value; unknown keys are errors.
+// All flags are --key=value; unknown keys are errors. Values are parsed
+// strictly: numbers are whole tokens (sizes non-negative integers,
+// everything else finite doubles; lists comma-separated), booleans are
+// the bare --flag or =true|false, and named choices must be one of the
+// listed names. Any other value is a validation error (exit 3) naming the
+// flag.
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -144,7 +156,6 @@
 #include "data/chunk_source.h"
 #include "data/fault_injection.h"
 #include "data/generator_source.h"
-#include "data/generators.h"
 #include "data/shard.h"
 #include "framework/benchmark.h"
 #include "framework/berry_esseen.h"
@@ -165,6 +176,38 @@ namespace {
 using hdldp::Result;
 using hdldp::Status;
 
+// A table of named choices: the values a flag (or a verb) may name.
+template <typename T>
+using Choices = std::pair<const char*, T>;
+
+template <typename T, std::size_t N>
+std::string Names(const Choices<T> (&table)[N]) {
+  std::string names;
+  for (const auto& [name, value] : table) {
+    if (!names.empty()) names += '|';
+    names += name;
+  }
+  return names;
+}
+
+// `text` as a T when the whole token is one: integers are non-negative,
+// doubles finite.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
+
+// The command line as --key=value pairs. Each getter marks its flag
+// consumed and returns its value, or the fallback when the flag is absent
+// or malformed. The first malformed value is kept for Check(), which
+// every verb calls before it does any work.
 class Flags {
  public:
   static Result<Flags> Parse(int argc, char** argv, int first) {
@@ -186,29 +229,68 @@ class Flags {
   }
 
   std::string GetString(const std::string& key, std::string fallback) {
-    consumed_.insert(key);
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const std::string* text = Find(key);
+    return text == nullptr ? fallback : *text;
   }
 
   double GetDouble(const std::string& key, double fallback) {
-    consumed_.insert(key);
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    return GetNumber(key, fallback, "a finite number");
   }
 
-  std::size_t GetSize(const std::string& key, std::size_t fallback) {
-    consumed_.insert(key);
-    const auto it = values_.find(key);
-    return it == values_.end()
-               ? fallback
-               : static_cast<std::size_t>(std::atoll(it->second.c_str()));
+  /// A probability: a double in [0, 1], 0 when absent.
+  double GetRate(const std::string& key) {
+    const double rate = GetDouble(key, 0.0);
+    if (!(rate >= 0.0 && rate <= 1.0)) Reject(key, "must lie in [0, 1]");
+    return rate;
   }
 
+  std::uint64_t GetSize(const std::string& key, std::uint64_t fallback,
+                        std::uint64_t min = 0,
+                        std::uint64_t max = UINT64_MAX) {
+    const std::uint64_t size =
+        GetNumber(key, fallback, "a non-negative integer");
+    if (size < min) Reject(key, "must be >= " + std::to_string(min));
+    if (size > max) Reject(key, "must be <= " + std::to_string(max));
+    return size;
+  }
+
+  /// The bare --key, or --key=true|false; false when absent.
   bool GetBool(const std::string& key) {
-    consumed_.insert(key);
-    const auto it = values_.find(key);
-    return it != values_.end() && it->second == "true";
+    const std::string value = GetString(key, "false");
+    if (value != "true" && value != "false") {
+      Reject(key, "want true|false, got '" + value + "'");
+    }
+    return value == "true";
+  }
+
+  std::vector<double> GetDoubleList(const std::string& key,
+                                    std::vector<double> fallback) {
+    const std::string* text = Find(key);
+    if (text == nullptr) return fallback;
+    std::vector<double> out;
+    std::istringstream items(*text);
+    for (std::string item; std::getline(items, item, ',');) {
+      const std::optional<double> value = ParseNumber<double>(item);
+      if (!value.has_value()) {
+        Reject(key, "want comma-separated finite numbers, got '" + *text +
+                        "'");
+        return fallback;
+      }
+      out.push_back(*value);
+    }
+    return out;
+  }
+
+  /// The table entry the flag names (`fallback` when absent).
+  template <typename T, std::size_t N>
+  const Choices<T>& GetChoice(const std::string& key, const char* fallback,
+                              const Choices<T> (&table)[N]) {
+    const std::string value = GetString(key, fallback);
+    for (const Choices<T>& entry : table) {
+      if (value == entry.first) return entry;
+    }
+    Reject(key, "unknown value '" + value + "' (want " + Names(table) + ")");
+    return table[0];
   }
 
   /// Whether the flag was provided at all (does not consume it).
@@ -216,26 +298,15 @@ class Flags {
     return values_.find(key) != values_.end();
   }
 
-  std::vector<double> GetDoubleList(const std::string& key,
-                                    std::vector<double> fallback) {
-    consumed_.insert(key);
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    std::vector<double> out;
-    std::string token;
-    for (const char c : it->second + ",") {
-      if (c == ',') {
-        if (!token.empty()) out.push_back(std::atof(token.c_str()));
-        token.clear();
-      } else {
-        token += c;
-      }
-    }
-    return out;
+  /// Records a validation error against --key (the first one wins).
+  void Reject(const std::string& key, const std::string& why) {
+    if (error_.ok()) error_ = Status::InvalidArgument("--" + key + ": " + why);
   }
 
-  /// Errors if any provided flag was never consumed (catches typos).
-  Status CheckAllConsumed() const {
+  /// The first rejected value, else an error if any provided flag was
+  /// never consumed (catches typos).
+  Status Check() const {
+    HDLDP_RETURN_NOT_OK(error_);
     for (const auto& [key, value] : values_) {
       if (consumed_.find(key) == consumed_.end()) {
         return Status::InvalidArgument("unknown flag --" + key);
@@ -245,273 +316,252 @@ class Flags {
   }
 
  private:
+  const std::string* Find(const std::string& key) {
+    consumed_.insert(key);
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
+  template <typename T>
+  T GetNumber(const std::string& key, T fallback, const char* want) {
+    const std::string* text = Find(key);
+    if (text == nullptr) return fallback;
+    const std::optional<T> value = ParseNumber<T>(*text);
+    if (value.has_value()) return *value;
+    Reject(key, std::string("want ") + want + ", got '" + *text + "'");
+    return fallback;
+  }
+
   std::map<std::string, std::string> values_;
-  mutable std::set<std::string> consumed_;
+  std::set<std::string> consumed_;
+  Status error_;
 };
 
-// In-process fault injection (--fault-*) over a resolved source.
-struct FaultFlags {
-  /// Set when any --fault-* rate is nonzero; the source is then wrapped
-  /// in a FaultInjectingChunkSource over FaultSchedule::Random.
-  bool inject = false;
-  std::uint64_t fault_seed = 0;
-  hdldp::data::FaultSchedule::RandomOptions random;
+const Choices<hdldp::SeedScheme> kSeedSchemes[] = {
+    {"v3", hdldp::SeedScheme::kV3Batched}, {"3", hdldp::SeedScheme::kV3Batched},
+    {"v2", hdldp::SeedScheme::kV2Lanes},   {"2", hdldp::SeedScheme::kV2Lanes},
+    {"v1", hdldp::SeedScheme::kV1Scalar},  {"1", hdldp::SeedScheme::kV1Scalar},
+};
 
-  /// `base`, or `base` behind a fault injector held in *holder.
-  const hdldp::data::ChunkSource* Wrap(
-      const hdldp::data::ChunkSource* base,
-      std::optional<hdldp::data::FaultInjectingChunkSource>* holder) const {
-    if (!inject) return base;
-    holder->emplace(base, hdldp::data::FaultSchedule::Random(
-                              fault_seed, base->num_chunks(), random));
-    return &**holder;
+// The numeric --dataset populations: each spec at its defaults apart
+// from the geometry. One table feeds both the classic sequential
+// generators (resident) and the chunk-keyed ones (--chunk-keyed and
+// `generate`).
+using SpecFor = hdldp::data::GeneratorSpec (*)(std::size_t users,
+                                               std::size_t dims);
+
+template <typename Spec>
+hdldp::data::GeneratorSpec Geometry(std::size_t users, std::size_t dims) {
+  Spec spec;
+  spec.num_users = users;
+  spec.num_dims = dims;
+  return spec;
+}
+
+const Choices<SpecFor> kDatasets[] = {
+    {"uniform", Geometry<hdldp::data::UniformSpec>},
+    {"gaussian", Geometry<hdldp::data::GaussianSpec>},
+    {"poisson", Geometry<hdldp::data::PoissonSpec>},
+    {"correlated", Geometry<hdldp::data::CorrelatedSpec>},
+};
+
+// Where a run's users come from: --input=<shard-dir>, else an in-memory
+// population — categorical when `schema` is set (freq), otherwise the
+// numeric `dataset` — read through the deterministic --fault-* injector
+// when any of its rates is nonzero.
+struct Population {
+  std::string input;
+  const hdldp::freq::CategoricalSchema* schema = nullptr;
+  const Choices<SpecFor>* dataset = &kDatasets[0];
+  bool chunk_keyed = false;
+  std::size_t users = 0;
+  std::size_t dims = 0;
+  double zipf = 1.0;
+  std::uint64_t fault_seed = 0;
+  hdldp::data::FaultSchedule::RandomOptions faults;
+
+  /// What the run header prints as the dataset.
+  const char* Label() const {
+    return input.empty() ? dataset->first : input.c_str();
   }
 };
-
-Result<hdldp::SeedScheme> ParseSeedScheme(const std::string& value) {
-  if (value == "v3" || value == "3") return hdldp::SeedScheme::kV3Batched;
-  if (value == "v2" || value == "2") return hdldp::SeedScheme::kV2Lanes;
-  if (value == "v1" || value == "1") return hdldp::SeedScheme::kV1Scalar;
-  return Status::InvalidArgument("unknown --seed-scheme '" + value +
-                                 "' (want v1|v2|v3)");
-}
 
 // The run flags shared by mean/freq/variance, parsed once into the
 // options base every batch pipeline derives from: --epsilon, --seed,
 // --threads, --seed-scheme, the retry policy, --allow-missing-chunks and
-// --checkpoint. Returns the --fault-* injection settings.
-Result<FaultFlags> ParseRunFlags(Flags* flags,
-                                 hdldp::protocol::PipelineOptions* opts) {
+// --checkpoint; the --fault-* injection settings go to `population`.
+void ParseRunFlags(Flags* flags, hdldp::protocol::PipelineOptions* opts,
+                   Population* population) {
   opts->total_epsilon = flags->GetDouble("epsilon", 1.0);
   opts->seed = flags->GetSize("seed", 1);
   opts->num_threads = flags->GetSize("threads", 1);
-  HDLDP_ASSIGN_OR_RETURN(
-      opts->seed_scheme,
-      ParseSeedScheme(flags->GetString("seed-scheme", "v3")));
-  const std::size_t max_attempts = flags->GetSize("max-attempts", 1);
-  if (max_attempts == 0) {
-    return Status::InvalidArgument("--max-attempts must be >= 1");
-  }
-  opts->retry.max_attempts = static_cast<int>(max_attempts);
+  opts->seed_scheme =
+      flags->GetChoice("seed-scheme", "v3", kSeedSchemes).second;
+  opts->retry.max_attempts =
+      static_cast<int>(flags->GetSize("max-attempts", 1, 1));
   opts->retry.initial_backoff_ms = flags->GetSize("backoff-ms", 0);
   opts->retry.max_total_backoff_ms =
       flags->GetSize("max-total-backoff-ms", 0);
   opts->allow_missing_chunks = flags->GetBool("allow-missing-chunks");
   opts->checkpoint_path = flags->GetString("checkpoint", "");
-  FaultFlags ft;
-  ft.fault_seed = flags->GetSize("fault-seed", 0);
-  ft.random.transient_rate = flags->GetDouble("fault-transient-rate", 0.0);
-  ft.random.persistent_rate = flags->GetDouble("fault-persistent-rate", 0.0);
-  ft.random.bit_flip_rate = flags->GetDouble("fault-bitflip-rate", 0.0);
-  const std::size_t failing =
-      flags->GetSize("fault-failing-attempts", 1);
-  if (failing == 0) {
-    return Status::InvalidArgument("--fault-failing-attempts must be >= 1");
-  }
-  ft.random.failing_attempts = static_cast<int>(failing);
-  for (const double rate : {ft.random.transient_rate,
-                            ft.random.persistent_rate,
-                            ft.random.bit_flip_rate}) {
-    if (!(rate >= 0.0 && rate <= 1.0)) {
-      return Status::InvalidArgument("--fault-*-rate must lie in [0, 1]");
-    }
-  }
-  ft.inject = ft.random.transient_rate > 0.0 ||
-              ft.random.persistent_rate > 0.0 ||
-              ft.random.bit_flip_rate > 0.0;
-  return ft;
+  population->fault_seed = flags->GetSize("fault-seed", 0);
+  hdldp::data::FaultSchedule::RandomOptions& faults = population->faults;
+  faults.transient_rate = flags->GetRate("fault-transient-rate");
+  faults.persistent_rate = flags->GetRate("fault-persistent-rate");
+  faults.bit_flip_rate = flags->GetRate("fault-bitflip-rate");
+  faults.failing_attempts =
+      static_cast<int>(flags->GetSize("fault-failing-attempts", 1, 1));
 }
 
 // Write-path fault-injection flags (generate: shard part files;
 // serve/replay: snapshot records). Same deterministic seed-keyed
 // contract as the read-side --fault-* family.
-Result<hdldp::WriteFaultSchedule> ParseWriteFaultFlags(Flags* flags) {
+hdldp::WriteFaultSchedule ParseWriteFaultFlags(Flags* flags) {
   const std::uint64_t seed = flags->GetSize("write-fault-seed", 0);
   hdldp::WriteFaultSchedule::RandomOptions random;
-  random.short_write_rate = flags->GetDouble("write-fault-short-rate", 0.0);
-  random.no_space_rate = flags->GetDouble("write-fault-nospace-rate", 0.0);
-  random.fsync_failure_rate =
-      flags->GetDouble("write-fault-fsync-rate", 0.0);
-  for (const double rate : {random.short_write_rate, random.no_space_rate,
-                            random.fsync_failure_rate}) {
-    if (!(rate >= 0.0 && rate <= 1.0)) {
-      return Status::InvalidArgument(
-          "--write-fault-*-rate must lie in [0, 1]");
-    }
-  }
+  random.short_write_rate = flags->GetRate("write-fault-short-rate");
+  random.no_space_rate = flags->GetRate("write-fault-nospace-rate");
+  random.fsync_failure_rate = flags->GetRate("write-fault-fsync-rate");
   return hdldp::WriteFaultSchedule(seed, random);
 }
 
 // Reports the fault-tolerance outcome of a run in a stable, greppable
 // form (CI asserts on these lines).
-void PrintFaultOutcome(bool resumed, const std::vector<std::size_t>& chunks,
+void PrintFaultOutcome(bool resumed, std::size_t quarantined_chunks,
                        std::size_t surviving_users) {
   if (resumed) std::printf("resumed from checkpoint\n");
-  if (!chunks.empty()) {
+  if (quarantined_chunks > 0) {
     std::printf("quarantined %zu chunks; surviving users %zu\n",
-                chunks.size(), surviving_users);
+                quarantined_chunks, surviving_users);
   }
 }
 
-Result<hdldp::data::Dataset> MakeDataset(const std::string& name,
-                                         std::size_t users, std::size_t dims,
-                                         hdldp::Rng* rng) {
-  if (name == "uniform") {
-    return hdldp::data::GenerateUniform(
-        {.num_users = users, .num_dims = dims}, rng);
+// --input reads the population, geometry included, from the shard
+// headers; the in-memory population flags `keys` contradict it.
+void RejectWithInput(Flags* flags, const Population& population,
+                     std::initializer_list<const char*> keys) {
+  if (population.input.empty()) return;
+  for (const char* key : keys) {
+    if (flags->Has(key)) {
+      flags->Reject(key, "--input reads the population from the shard "
+                         "directory; drop this flag");
+    }
   }
-  if (name == "gaussian") {
-    hdldp::data::GaussianSpec spec;
-    spec.num_users = users;
-    spec.num_dims = dims;
-    return hdldp::data::GenerateGaussian(spec, rng);
-  }
-  if (name == "poisson") {
-    hdldp::data::PoissonSpec spec;
-    spec.num_users = users;
-    spec.num_dims = dims;
-    return hdldp::data::GeneratePoisson(spec, rng);
-  }
-  if (name == "correlated") {
-    hdldp::data::CorrelatedSpec spec;
-    spec.num_users = users;
-    spec.num_dims = dims;
-    return hdldp::data::GenerateCorrelated(spec, rng);
-  }
-  return Status::InvalidArgument(
-      "unknown dataset '" + name +
-      "' (want uniform|gaussian|poisson|correlated)");
 }
 
-Result<hdldp::data::GeneratorSpec> MakeGeneratorSpec(const std::string& name,
-                                                     std::size_t users,
-                                                     std::size_t dims) {
-  if (name == "uniform") {
-    return hdldp::data::GeneratorSpec(
-        hdldp::data::UniformSpec{.num_users = users, .num_dims = dims});
-  }
-  if (name == "gaussian") {
-    hdldp::data::GaussianSpec spec;
-    spec.num_users = users;
-    spec.num_dims = dims;
-    return hdldp::data::GeneratorSpec(spec);
-  }
-  if (name == "poisson") {
-    hdldp::data::PoissonSpec spec;
-    spec.num_users = users;
-    spec.num_dims = dims;
-    return hdldp::data::GeneratorSpec(spec);
-  }
-  if (name == "correlated") {
-    hdldp::data::CorrelatedSpec spec;
-    spec.num_users = users;
-    spec.num_dims = dims;
-    return hdldp::data::GeneratorSpec(spec);
-  }
-  return Status::InvalidArgument(
-      "unknown dataset '" + name +
-      "' (want uniform|gaussian|poisson|correlated)");
+// The numeric population flags of mean and variance.
+Population NumericPopulation(Flags* flags, const char* dataset,
+                             std::size_t dims) {
+  Population population;
+  population.input = flags->GetString("input", "");
+  population.dataset = &flags->GetChoice("dataset", dataset, kDatasets);
+  population.chunk_keyed = flags->GetBool("chunk-keyed");
+  population.users = flags->GetSize("users", 20000);
+  population.dims = flags->GetSize("dims", dims);
+  RejectWithInput(flags, population, {"dataset", "users", "dims",
+                                      "chunk-keyed"});
+  return population;
 }
 
-// Owns whichever data source a numeric subcommand resolved — a resident
-// generated dataset, an opened shard directory, or a streaming
-// chunk-keyed generator — and exposes it through `source`. The members
-// hold self-referential pointers once resolved, so a holder must stay
-// where ResolveSource filled it (it is neither copied nor moved).
+// Owns the population a run reads — an opened shard directory, a
+// chunk-keyed generator, or a resident numeric or categorical dataset —
+// and the --fault-* injector in front of it; `source` is what the run
+// reads. The members hold self-referential pointers once resolved, so a
+// holder must stay where ResolveSource filled it (it is neither copied
+// nor moved).
 struct SourceHolder {
-  std::optional<hdldp::data::Dataset> dataset;
-  std::optional<hdldp::data::ResidentChunkSource> resident;
   std::optional<hdldp::data::ShardFileSource> shard;
   std::optional<hdldp::data::GeneratorChunkSource> generated;
+  std::optional<hdldp::data::Dataset> dataset;
+  std::optional<hdldp::data::ResidentChunkSource> resident;
+  std::optional<hdldp::freq::CategoricalDataset> categorical;
+  std::optional<hdldp::freq::CategoricalChunkSource> categorical_rows;
+  std::optional<hdldp::data::FaultInjectingChunkSource> faulty;
   const hdldp::data::ChunkSource* source = nullptr;
 };
 
-// Shared --input/--chunk-keyed resolution for mean and variance.
-// `data_seed` is the subcommand's tagged data seed (e.g. seed ^ 0xDA7A);
-// `generate` applies the same tag, so a chunk-keyed in-memory run and a
-// `generate` + `--input` run of the same --seed see identical values.
-Status ResolveSource(const std::string& input, bool chunk_keyed,
-                     const std::string& dataset_name, std::size_t users,
-                     std::size_t dims, std::uint64_t data_seed,
-                     SourceHolder* out) {
-  if (!input.empty()) {
-    HDLDP_ASSIGN_OR_RETURN(out->shard,
-                           hdldp::data::ShardFileSource::Open(input));
-    out->source = &*out->shard;
-    return Status::OK();
-  }
-  if (chunk_keyed) {
-    HDLDP_ASSIGN_OR_RETURN(const auto spec,
-                           MakeGeneratorSpec(dataset_name, users, dims));
+// The one population resolver of mean, variance, freq and generate.
+// Numeric populations draw from `seed ^ numeric_tag`, the verb's data
+// seed; `generate` applies mean's tag, so a chunk-keyed in-memory mean
+// and a `generate` + `--input` mean of the same --seed see identical
+// values.
+Status ResolveSource(const Population& population, std::uint64_t seed,
+                     std::uint64_t numeric_tag, SourceHolder* out) {
+  const hdldp::data::ChunkSource* base = nullptr;
+  const hdldp::data::GeneratorSpec spec =
+      population.dataset->second(population.users, population.dims);
+  if (!population.input.empty()) {
+    HDLDP_ASSIGN_OR_RETURN(
+        out->shard, hdldp::data::ShardFileSource::Open(population.input));
+    base = &*out->shard;
+  } else if (population.schema != nullptr) {
+    // Category indices from the Rng(seed ^ 0xF8E0) stream, shared by
+    // freq and `generate --dataset=categorical`, so `freq --input=<out>
+    // --seed=S` reproduces `freq --seed=S` bit for bit.
+    hdldp::Rng rng(seed ^ 0xF8E0ull);
+    HDLDP_ASSIGN_OR_RETURN(
+        out->categorical,
+        hdldp::freq::GenerateCategorical(population.users, *population.schema,
+                                         population.zipf, &rng));
+    base = &out->categorical_rows.emplace(&*out->categorical);
+  } else if (population.chunk_keyed) {
     HDLDP_ASSIGN_OR_RETURN(
         out->generated,
-        hdldp::data::GeneratorChunkSource::Create(spec, data_seed));
-    out->source = &*out->generated;
-    return Status::OK();
+        hdldp::data::GeneratorChunkSource::Create(spec, seed ^ numeric_tag));
+    base = &*out->generated;
+  } else {
+    hdldp::Rng rng(seed ^ numeric_tag);
+    HDLDP_ASSIGN_OR_RETURN(out->dataset,
+                           hdldp::data::GenerateSequential(spec, &rng));
+    base = &out->resident.emplace(&*out->dataset);
   }
-  hdldp::Rng data_rng(data_seed);
-  HDLDP_ASSIGN_OR_RETURN(out->dataset,
-                         MakeDataset(dataset_name, users, dims, &data_rng));
-  out->resident.emplace(&*out->dataset);
-  out->source = &*out->resident;
-  return Status::OK();
-}
-
-// --input reads the population geometry from the shard headers; the
-// in-memory generator flags contradict it.
-Status RejectGeneratorFlagsWithInput(const Flags& flags) {
-  for (const char* key : {"dataset", "users", "dims", "chunk-keyed"}) {
-    if (flags.Has(key)) {
-      return Status::InvalidArgument(
-          "--input reads the population from the shard directory; drop --" +
-          std::string(key));
-    }
+  out->source = base;
+  const hdldp::data::FaultSchedule::RandomOptions& faults = population.faults;
+  if (faults.transient_rate > 0.0 || faults.persistent_rate > 0.0 ||
+      faults.bit_flip_rate > 0.0) {
+    out->source = &out->faulty.emplace(
+        base, hdldp::data::FaultSchedule::Random(
+                  population.fault_seed, base->num_chunks(), faults));
   }
   return Status::OK();
 }
 
 Status RunMean(Flags flags) {
   const std::string mech_name = flags.GetString("mechanism", "piecewise");
-  const std::string input = flags.GetString("input", "");
-  const bool chunk_keyed = flags.GetBool("chunk-keyed");
-  const std::string dataset_name = flags.GetString("dataset", "uniform");
-  const std::size_t users_flag = flags.GetSize("users", 20000);
-  const std::size_t dims_flag = flags.GetSize("dims", 128);
+  Population population = NumericPopulation(&flags, "uniform", 128);
   hdldp::protocol::PipelineOptions opts;
-  HDLDP_ASSIGN_OR_RETURN(const FaultFlags ft, ParseRunFlags(&flags, &opts));
+  ParseRunFlags(&flags, &opts, &population);
   opts.report_dims = flags.GetSize("report-dims", 0);
   HDLDP_ASSIGN_OR_RETURN(opts.encoding,
                          hdldp::protocol::ParseReportEncoding(
                              flags.GetString("encoding", "dense")));
-  const std::string recalibrate = flags.GetString("recalibrate", "both");
+  // Bit r selects regularizer r of the HDR4ME loop below.
+  const Choices<int> kRecalibrate[] = {
+      {"both", 3}, {"l1", 1}, {"l2", 2}, {"none", 0}};
+  const int recalibrate =
+      flags.GetChoice("recalibrate", "both", kRecalibrate).second;
   const bool gate = flags.GetBool("gate");
   const bool print_estimate = flags.GetBool("print-estimate");
-  if (!input.empty()) HDLDP_RETURN_NOT_OK(RejectGeneratorFlagsWithInput(flags));
-  HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
+  HDLDP_RETURN_NOT_OK(flags.Check());
 
   SourceHolder data;
-  HDLDP_RETURN_NOT_OK(ResolveSource(input, chunk_keyed, dataset_name,
-                                    users_flag, dims_flag,
-                                    opts.seed ^ 0xDA7Aull, &data));
-  std::optional<hdldp::data::FaultInjectingChunkSource> faulty;
-  const hdldp::data::ChunkSource* source = ft.Wrap(data.source, &faulty);
-  const std::size_t users = source->num_users();
-  const std::size_t dims = source->num_dims();
-  const std::size_t report_dims = opts.report_dims;
+  HDLDP_RETURN_NOT_OK(ResolveSource(population, opts.seed, 0xDA7Aull, &data));
+  const std::size_t users = data.source->num_users();
+  const std::size_t dims = data.source->num_dims();
+  const std::size_t m = opts.report_dims == 0 ? dims : opts.report_dims;
   HDLDP_ASSIGN_OR_RETURN(auto mechanism,
                          hdldp::mech::MakeMechanism(mech_name));
   HDLDP_ASSIGN_OR_RETURN(
       const auto run,
-      hdldp::protocol::RunMeanEstimation(*source, mechanism, opts));
+      hdldp::protocol::RunMeanEstimation(*data.source, mechanism, opts));
 
   std::printf("mechanism=%s dataset=%s users=%zu dims=%zu eps=%g m=%zu "
               "encoding=%s\n",
-              mech_name.c_str(),
-              input.empty() ? dataset_name.c_str() : input.c_str(), users,
-              dims, opts.total_epsilon, report_dims == 0 ? dims : report_dims,
+              mech_name.c_str(), population.Label(), users, dims,
+              opts.total_epsilon, m,
               hdldp::protocol::ReportEncodingName(opts.encoding));
-  PrintFaultOutcome(run.resumed_from_checkpoint, run.quarantined_chunks,
-                    run.surviving_users);
+  PrintFaultOutcome(run.resumed_from_checkpoint,
+                    run.quarantined_chunks.size(), run.surviving_users);
   std::printf("%-24s %12.6g\n", "naive MSE", run.mse);
   if (print_estimate) {
     // Full-precision estimate, one dimension per line: CI resume tests
@@ -521,7 +571,7 @@ Status RunMean(Flags flags) {
     }
   }
 
-  if (recalibrate == "none") return Status::OK();
+  if (recalibrate == 0) return Status::OK();
   if (opts.encoding == hdldp::protocol::ReportEncoding::kHadamard1) {
     // The deviation model below describes the numeric mechanism's
     // perturbation; the 1-bit path has no mechanism, so HDR4ME
@@ -529,38 +579,24 @@ Status RunMean(Flags flags) {
     std::printf("recalibration skipped: hadamard1 has no value mechanism\n");
     return Status::OK();
   }
-  // Per-dimension deviation models from per-dimension empirical marginals.
-  std::vector<hdldp::framework::GaussianDeviation> deviations;
-  const std::size_t rows = std::min<std::size_t>(users, 2000);
-  HDLDP_ASSIGN_OR_RETURN(const std::vector<double> marginals,
-                         hdldp::data::MaterializeRows(*data.source, 0, rows));
-  std::vector<double> column(rows);
   const double reports = static_cast<double>(users) *
-                         static_cast<double>(report_dims == 0 ? dims
-                                                              : report_dims) /
-                         static_cast<double>(dims);
-  for (std::size_t j = 0; j < dims; ++j) {
-    for (std::size_t i = 0; i < rows; ++i) column[i] = marginals[i * dims + j];
-    HDLDP_ASSIGN_OR_RETURN(
-        const auto values,
-        hdldp::framework::ValueDistribution::FromSamples(column, 16));
-    HDLDP_ASSIGN_OR_RETURN(
-        const auto model,
-        hdldp::framework::ModelDeviation(*mechanism, run.per_dim_epsilon,
-                                         values, reports));
-    deviations.push_back(model.deviation);
-  }
+                         static_cast<double>(m) / static_cast<double>(dims);
+  HDLDP_ASSIGN_OR_RETURN(
+      const std::vector<hdldp::framework::GaussianDeviation> deviations,
+      hdldp::hdr4me::MarginalDeviations(*data.source, run.quarantined_chunks,
+                                        *mechanism, run.per_dim_epsilon,
+                                        reports));
   HDLDP_ASSIGN_OR_RETURN(const double predicted,
                          hdldp::framework::PredictedMse(deviations));
   std::printf("%-24s %12.6g\n", "framework-predicted MSE", predicted);
 
-  for (const auto& [label, reg] :
-       std::vector<std::pair<std::string, hdldp::hdr4me::Regularizer>>{
-           {"l1", hdldp::hdr4me::Regularizer::kL1},
-           {"l2", hdldp::hdr4me::Regularizer::kL2}}) {
-    if (recalibrate != "both" && recalibrate != label) continue;
+  const Choices<hdldp::hdr4me::Regularizer> kRegularizers[] = {
+      {"l1", hdldp::hdr4me::Regularizer::kL1},
+      {"l2", hdldp::hdr4me::Regularizer::kL2}};
+  for (int r = 0; r < 2; ++r) {
+    if ((recalibrate & (1 << r)) == 0) continue;
     hdldp::hdr4me::Hdr4meOptions h;
-    h.regularizer = reg;
+    h.regularizer = kRegularizers[r].second;
     h.lambda.gate_on_threshold = gate;
     HDLDP_ASSIGN_OR_RETURN(
         const auto result,
@@ -569,7 +605,7 @@ Status RunMean(Flags flags) {
                            hdldp::protocol::MeanSquaredError(
                                result.enhanced_mean, run.true_mean));
     std::printf("HDR4ME-%s%s MSE%*s %12.6g  (%zu dims zeroed)\n",
-                label.c_str(), gate ? " (gated)" : "",
+                kRegularizers[r].first, gate ? " (gated)" : "",
                 gate ? 5 : 13, "", mse, result.zeroed_dims);
   }
   HDLDP_ASSIGN_OR_RETURN(const double p_l1,
@@ -580,61 +616,41 @@ Status RunMean(Flags flags) {
 
 Status RunFreq(Flags flags) {
   const std::string mech_name = flags.GetString("mechanism", "piecewise");
-  const std::string input = flags.GetString("input", "");
-  const std::size_t users_flag = flags.GetSize("users", 20000);
+  Population population;
+  population.input = flags.GetString("input", "");
+  population.users = flags.GetSize("users", 20000);
+  population.zipf = flags.GetDouble("zipf", 1.0);
+  // The shard stores indices, the schema the cardinalities: --input
+  // keeps --questions/--categories.
+  RejectWithInput(&flags, population, {"users", "zipf"});
   const std::size_t questions = flags.GetSize("questions", 16);
   const std::size_t categories = flags.GetSize("categories", 8);
-  const double zipf = flags.GetDouble("zipf", 1.0);
   hdldp::freq::FrequencyOptions opts;
-  HDLDP_ASSIGN_OR_RETURN(const FaultFlags ft, ParseRunFlags(&flags, &opts));
+  ParseRunFlags(&flags, &opts, &population);
   opts.report_dims = flags.GetSize("sampled", 0);
   HDLDP_ASSIGN_OR_RETURN(opts.encoding,
                          hdldp::protocol::ParseReportEncoding(
                              flags.GetString("encoding", "dense")));
-  if (!input.empty() && (flags.Has("users") || flags.Has("zipf"))) {
-    return Status::InvalidArgument(
-        "--input reads the population from the shard directory; drop "
-        "--users/--zipf (keep --questions/--categories: the shard stores "
-        "indices, the schema stores cardinalities)");
-  }
-  HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
+  HDLDP_RETURN_NOT_OK(flags.Check());
 
-  HDLDP_ASSIGN_OR_RETURN(auto schema,
+  HDLDP_ASSIGN_OR_RETURN(const auto schema,
                          hdldp::freq::CategoricalSchema::Create(
                              std::vector<std::size_t>(questions, categories)));
+  population.schema = &schema;
   HDLDP_ASSIGN_OR_RETURN(auto mechanism,
                          hdldp::mech::MakeMechanism(mech_name));
-
-  // Both branches resolve a base ChunkSource, optionally wrap it in the
-  // deterministic fault injector, and run the source overload.
-  std::optional<hdldp::data::ShardFileSource> shard;
-  std::optional<hdldp::freq::CategoricalDataset> dataset;
-  std::optional<hdldp::freq::CategoricalChunkSource> resident;
-  const hdldp::data::ChunkSource* source = nullptr;
-  if (!input.empty()) {
-    HDLDP_ASSIGN_OR_RETURN(shard, hdldp::data::ShardFileSource::Open(input));
-    source = &*shard;
-  } else {
-    hdldp::Rng rng(opts.seed ^ 0xF8E0ull);
-    HDLDP_ASSIGN_OR_RETURN(
-        dataset,
-        hdldp::freq::GenerateCategorical(users_flag, schema, zipf, &rng));
-    resident.emplace(&*dataset);
-    source = &*resident;
-  }
-  std::optional<hdldp::data::FaultInjectingChunkSource> faulty;
-  source = ft.Wrap(source, &faulty);
-  const std::size_t users = source->num_users();
+  SourceHolder data;
+  HDLDP_RETURN_NOT_OK(ResolveSource(population, opts.seed, 0, &data));
   HDLDP_ASSIGN_OR_RETURN(const auto result,
                          hdldp::freq::RunFrequencyEstimation(
-                             *source, schema, mechanism, opts));
+                             *data.source, schema, mechanism, opts));
   std::printf("mechanism=%s users=%zu questions=%zu categories=%zu eps=%g "
               "eps/entry=%g encoding=%s\n",
-              mech_name.c_str(), users, questions, categories,
-              opts.total_epsilon, result.per_entry_epsilon,
+              mech_name.c_str(), data.source->num_users(), questions,
+              categories, opts.total_epsilon, result.per_entry_epsilon,
               hdldp::protocol::ReportEncodingName(opts.encoding));
-  PrintFaultOutcome(result.resumed_from_checkpoint, result.quarantined_chunks,
-                    result.surviving_users);
+  PrintFaultOutcome(result.resumed_from_checkpoint,
+                    result.quarantined_chunks.size(), result.surviving_users);
   std::printf("%-24s %12.6g\n", "naive MSE", result.mse_raw);
   std::printf("%-24s %12.6g\n", "HDR4ME MSE", result.mse_recalibrated);
   return Status::OK();
@@ -645,17 +661,13 @@ Status RunAnalyze(Flags flags) {
   const double reports = flags.GetDouble("reports", 10000.0);
   const std::vector<double> xis =
       flags.GetDoubleList("xi", {0.001, 0.01, 0.05, 0.1});
-  HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
+  HDLDP_RETURN_NOT_OK(flags.Check());
 
   std::vector<double> values;
-  std::vector<double> probs;
-  for (int k = 1; k <= 10; ++k) {
-    values.push_back(0.1 * k);
-    probs.push_back(0.1);
-  }
-  HDLDP_ASSIGN_OR_RETURN(
-      const auto dist,
-      hdldp::framework::ValueDistribution::Create(values, probs));
+  for (int k = 1; k <= 10; ++k) values.push_back(0.1 * k);
+  HDLDP_ASSIGN_OR_RETURN(const auto dist,
+                         hdldp::framework::ValueDistribution::Create(
+                             values, std::vector<double>(10, 0.1)));
   std::vector<hdldp::framework::BenchmarkSpec> specs;
   for (const auto name : hdldp::mech::RegisteredMechanismNames()) {
     hdldp::framework::BenchmarkSpec spec;
@@ -681,40 +693,28 @@ Status RunAnalyze(Flags flags) {
 
 Status RunVariance(Flags flags) {
   const std::string mech_name = flags.GetString("mechanism", "piecewise");
-  const std::string input = flags.GetString("input", "");
-  const bool chunk_keyed = flags.GetBool("chunk-keyed");
-  const std::string dataset_name = flags.GetString("dataset", "gaussian");
-  const std::size_t users_flag = flags.GetSize("users", 20000);
-  const std::size_t dims_flag = flags.GetSize("dims", 64);
+  Population population = NumericPopulation(&flags, "gaussian", 64);
   hdldp::hdr4me::VarianceOptions opts;
-  HDLDP_ASSIGN_OR_RETURN(const FaultFlags ft, ParseRunFlags(&flags, &opts));
+  ParseRunFlags(&flags, &opts, &population);
   opts.recalibrate = flags.GetBool("recalibrate");
-  if (!input.empty()) HDLDP_RETURN_NOT_OK(RejectGeneratorFlagsWithInput(flags));
-  HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
+  HDLDP_RETURN_NOT_OK(flags.Check());
 
   SourceHolder data;
-  HDLDP_RETURN_NOT_OK(ResolveSource(input, chunk_keyed, dataset_name,
-                                    users_flag, dims_flag,
-                                    opts.seed ^ 0x5ECull, &data));
-  std::optional<hdldp::data::FaultInjectingChunkSource> faulty;
-  const hdldp::data::ChunkSource* source = ft.Wrap(data.source, &faulty);
-  const std::size_t users = source->num_users();
-  const std::size_t dims = source->num_dims();
+  HDLDP_RETURN_NOT_OK(ResolveSource(population, opts.seed, 0x5ECull, &data));
+  const std::size_t dims = data.source->num_dims();
   HDLDP_ASSIGN_OR_RETURN(auto mechanism,
                          hdldp::mech::MakeMechanism(mech_name));
   HDLDP_ASSIGN_OR_RETURN(
       const auto result,
-      hdldp::hdr4me::RunVarianceEstimation(*source, mechanism, opts));
+      hdldp::hdr4me::RunVarianceEstimation(*data.source, mechanism, opts));
   std::printf("mechanism=%s dataset=%s users=%zu dims=%zu eps=%g "
               "recalibrate=%d\n",
-              mech_name.c_str(),
-              input.empty() ? dataset_name.c_str() : input.c_str(), users,
-              dims, opts.total_epsilon, opts.recalibrate ? 1 : 0);
-  std::vector<std::size_t> quarantined = result.quarantined_values_chunks;
-  quarantined.insert(quarantined.end(),
-                     result.quarantined_squares_chunks.begin(),
-                     result.quarantined_squares_chunks.end());
-  PrintFaultOutcome(result.resumed_from_checkpoint, quarantined,
+              mech_name.c_str(), population.Label(),
+              data.source->num_users(), dims, opts.total_epsilon,
+              opts.recalibrate ? 1 : 0);
+  PrintFaultOutcome(result.resumed_from_checkpoint,
+                    result.quarantined_values_chunks.size() +
+                        result.quarantined_squares_chunks.size(),
                     result.surviving_users);
   std::printf("%-24s %12.6g\n", "variance MSE", result.mse);
   std::printf("first dims (true vs estimated variance):\n");
@@ -725,61 +725,47 @@ Status RunVariance(Flags flags) {
   return Status::OK();
 }
 
+// Streams a population into a shard directory without materializing it
+// (numeric datasets come from the chunk-keyed generator under mean's data
+// seed; categorical ones are freq's population).
 Status RunGenerate(Flags flags) {
   const std::string out = flags.GetString("out", "");
-  const std::string dataset_name = flags.GetString("dataset", "uniform");
-  const std::size_t users = flags.GetSize("users", 20000);
-  const std::size_t dims = flags.GetSize("dims", 16);
+  const bool categorical =
+      flags.GetString("dataset", "uniform") == "categorical";
+  Population population;
+  population.chunk_keyed = true;
+  if (!categorical) {
+    population.dataset = &flags.GetChoice("dataset", "uniform", kDatasets);
+  }
+  population.users = flags.GetSize("users", 20000);
+  population.dims = flags.GetSize("dims", 16);
+  population.zipf = flags.GetDouble("zipf", 1.0);
   const std::uint64_t seed = flags.GetSize("seed", 1);
-  const std::size_t chunks_per_file = flags.GetSize("chunks-per-file", 1024);
   const std::size_t questions = flags.GetSize("questions", 16);
   const std::size_t categories = flags.GetSize("categories", 8);
-  const double zipf = flags.GetDouble("zipf", 1.0);
-  HDLDP_ASSIGN_OR_RETURN(const auto write_faults,
-                         ParseWriteFaultFlags(&flags));
-  HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
+  hdldp::data::ShardWriterOptions shard_opts;
+  shard_opts.chunks_per_file = flags.GetSize("chunks-per-file", 1024, 1);
+  shard_opts.write_faults = ParseWriteFaultFlags(&flags);
+  HDLDP_RETURN_NOT_OK(flags.Check());
   if (out.empty()) {
     return Status::InvalidArgument("generate requires --out=<shard-dir>");
   }
-  if (chunks_per_file == 0) {
-    return Status::InvalidArgument("--chunks-per-file must be >= 1");
-  }
-  hdldp::data::ShardWriterOptions shard_opts;
-  shard_opts.chunks_per_file = chunks_per_file;
-  shard_opts.write_faults = write_faults;
 
-  if (dataset_name == "categorical") {
-    // Category indices for the freq pipeline, drawn from the same
-    // Rng(seed ^ 0xF8E0) stream the freq subcommand uses in memory — so
-    // `freq --input=<out> --seed=S` reproduces `freq --seed=S` bit for
-    // bit.
+  std::optional<hdldp::freq::CategoricalSchema> schema;
+  if (categorical) {
     HDLDP_ASSIGN_OR_RETURN(
-        auto schema, hdldp::freq::CategoricalSchema::Create(
-                         std::vector<std::size_t>(questions, categories)));
-    hdldp::Rng rng(seed ^ 0xF8E0ull);
-    HDLDP_ASSIGN_OR_RETURN(
-        const auto dataset,
-        hdldp::freq::GenerateCategorical(users, schema, zipf, &rng));
-    const hdldp::freq::CategoricalChunkSource source(&dataset);
-    HDLDP_ASSIGN_OR_RETURN(const std::size_t rows,
-                           hdldp::data::WriteShards(source, out, shard_opts));
-    std::printf("wrote %zu users x %zu categorical dims to %s\n", rows,
-                questions, out.c_str());
-    return Status::OK();
+        schema, hdldp::freq::CategoricalSchema::Create(
+                    std::vector<std::size_t>(questions, categories)));
+    population.schema = &*schema;
   }
-
-  // Numeric populations stream straight from the chunk-keyed generator —
-  // no resident n x d allocation. The 0xDA7A tag matches the mean
-  // subcommand's data seed, so `mean --chunk-keyed --seed=S` and
-  // `generate --seed=S` + `mean --input --seed=S` see identical values.
-  HDLDP_ASSIGN_OR_RETURN(const auto spec,
-                         MakeGeneratorSpec(dataset_name, users, dims));
-  HDLDP_ASSIGN_OR_RETURN(
-      const auto source,
-      hdldp::data::GeneratorChunkSource::Create(spec, seed ^ 0xDA7Aull));
+  SourceHolder data;
+  HDLDP_RETURN_NOT_OK(ResolveSource(population, seed, 0xDA7Aull, &data));
   HDLDP_ASSIGN_OR_RETURN(const std::size_t rows,
-                         hdldp::data::WriteShards(source, out, shard_opts));
-  std::printf("wrote %zu users x %zu dims to %s\n", rows, dims, out.c_str());
+                         hdldp::data::WriteShards(*data.source, out,
+                                                  shard_opts));
+  std::printf("wrote %zu users x %zu %sdims to %s\n", rows,
+              categorical ? questions : population.dims,
+              categorical ? "categorical " : "", out.c_str());
   return Status::OK();
 }
 
@@ -787,72 +773,51 @@ Status RunGenerate(Flags flags) {
 // aggregation service. `replay` pins the deterministic golden path (one
 // worker, lossless backpressure); `serve` exercises the concurrent one.
 Status RunServe(Flags flags, bool replay) {
-  const std::string workload_name = flags.GetString("workload", "mean");
-  const std::string mech_name = flags.GetString("mechanism", "duchi");
-  const std::uint64_t reports = flags.GetSize("reports", 10000);
-  const double epsilon = flags.GetDouble("epsilon", 1.0);
-  const std::size_t report_dims = flags.GetSize("report-dims", 0);
-  const std::uint64_t seed = flags.GetSize("seed", 1);
-  const std::uint64_t tenants = flags.GetSize("tenants", 4);
+  const Choices<hdldp::service::StreamWorkload> kWorkloads[] = {
+      {"mean", hdldp::service::StreamWorkload::kMean},
+      {"freq", hdldp::service::StreamWorkload::kFreq}};
+  const Choices<hdldp::service::StreamWorkload>& workload =
+      flags.GetChoice("workload", "mean", kWorkloads);
+  hdldp::service::ReportStreamOptions stream_options;
+  stream_options.workload = workload.second;
+  stream_options.mechanism = flags.GetString("mechanism", "duchi");
+  stream_options.num_reports = flags.GetSize("reports", 10000);
+  stream_options.epsilon = flags.GetDouble("epsilon", 1.0);
+  stream_options.report_dims = flags.GetSize("report-dims", 0);
+  stream_options.seed = flags.GetSize("seed", 1);
+  stream_options.num_tenants = flags.GetSize("tenants", 4);
+  stream_options.reports_per_tick = flags.GetSize("reports-per-tick", 0);
+  if (workload.second == hdldp::service::StreamWorkload::kMean) {
+    stream_options.num_dims = flags.GetSize("dims", 8);
+  } else {
+    stream_options.num_dims = flags.GetSize("questions", 4);
+    stream_options.num_categories = flags.GetSize("categories", 4);
+  }
+  stream_options.faults.drop_rate = flags.GetRate("fault-drop-rate");
+  stream_options.faults.duplicate_rate = flags.GetRate("fault-duplicate-rate");
+  stream_options.faults.reorder_rate = flags.GetRate("fault-reorder-rate");
+  stream_options.faults.reorder_delay =
+      flags.GetSize("fault-reorder-delay", 3);
+  stream_options.fault_seed = flags.GetSize("fault-seed", 0);
+  HDLDP_ASSIGN_OR_RETURN(stream_options.encoding,
+                         hdldp::protocol::ParseReportEncoding(
+                             flags.GetString("encoding", "dense")));
   const double tenant_budget = flags.GetDouble("tenant-budget", 0.0);
-  const std::uint64_t reports_per_tick = flags.GetSize("reports-per-tick", 0);
   const std::string checkpoint = flags.GetString("checkpoint", "");
   const std::size_t snapshot_every = flags.GetSize("snapshot-every", 0);
   const std::size_t kill_after = flags.GetSize("kill-after", 0);
   const bool print_estimate = flags.GetBool("print-estimate");
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdldp::protocol::ReportEncoding encoding,
-      hdldp::protocol::ParseReportEncoding(
-          flags.GetString("encoding", "dense")));
 
   // The stream generator emits per-report scalar Rng streams — the v1
   // contract. v2/v3 name the engine's lane/batched contracts, which have
   // no per-report envelope form; refusing them loudly mirrors the freq
   // v1 --checkpoint rejection.
-  HDLDP_ASSIGN_OR_RETURN(
-      const hdldp::SeedScheme seed_scheme,
-      ParseSeedScheme(flags.GetString("seed-scheme", "v1")));
-  if (seed_scheme != hdldp::SeedScheme::kV1Scalar) {
-    return Status::InvalidArgument(
-        "serve/replay ingest per-report scalar streams: --seed-scheme=v1 "
-        "is the only supported scheme (v2/v3 are engine lane contracts "
-        "with no per-report envelope form)");
-  }
-
-  hdldp::service::ReportStreamOptions stream_options;
-  if (workload_name == "mean") {
-    stream_options.workload = hdldp::service::StreamWorkload::kMean;
-    stream_options.num_dims = flags.GetSize("dims", 8);
-  } else if (workload_name == "freq") {
-    stream_options.workload = hdldp::service::StreamWorkload::kFreq;
-    stream_options.num_dims = flags.GetSize("questions", 4);
-    stream_options.num_categories = flags.GetSize("categories", 4);
-  } else {
-    return Status::InvalidArgument("unknown --workload '" + workload_name +
-                                   "' (want mean|freq)");
-  }
-  stream_options.encoding = encoding;
-  stream_options.mechanism = mech_name;
-  stream_options.num_reports = reports;
-  stream_options.epsilon = epsilon;
-  stream_options.report_dims = report_dims;
-  stream_options.seed = seed;
-  stream_options.num_tenants = tenants;
-  stream_options.reports_per_tick = reports_per_tick;
-  stream_options.faults.drop_rate = flags.GetDouble("fault-drop-rate", 0.0);
-  stream_options.faults.duplicate_rate =
-      flags.GetDouble("fault-duplicate-rate", 0.0);
-  stream_options.faults.reorder_rate =
-      flags.GetDouble("fault-reorder-rate", 0.0);
-  stream_options.faults.reorder_delay =
-      flags.GetSize("fault-reorder-delay", 3);
-  stream_options.fault_seed = flags.GetSize("fault-seed", 0);
-  for (const double rate : {stream_options.faults.drop_rate,
-                            stream_options.faults.duplicate_rate,
-                            stream_options.faults.reorder_rate}) {
-    if (!(rate >= 0.0 && rate <= 1.0)) {
-      return Status::InvalidArgument("--fault-*-rate must lie in [0, 1]");
-    }
+  if (flags.GetChoice("seed-scheme", "v1", kSeedSchemes).second !=
+      hdldp::SeedScheme::kV1Scalar) {
+    flags.Reject("seed-scheme",
+                 "serve/replay ingest per-report scalar streams: v1 is the "
+                 "only supported scheme (v2/v3 are engine lane contracts "
+                 "with no per-report envelope form)");
   }
 
   hdldp::service::ServiceOptions service_options;
@@ -860,17 +825,14 @@ Status RunServe(Flags flags, bool replay) {
     service_options.num_workers = 1;
     service_options.overload = hdldp::service::OverloadPolicy::kBlock;
   } else {
-    service_options.num_workers = flags.GetSize("threads", 0);
+    const Choices<hdldp::service::OverloadPolicy> kOverloads[] = {
+        {"shed", hdldp::service::OverloadPolicy::kShed},
+        {"block", hdldp::service::OverloadPolicy::kBlock}};
+    service_options.num_workers =
+        flags.GetSize("threads", 0, 0, hdldp::service::kNumShardGroups);
     service_options.queue_capacity = flags.GetSize("queue-capacity", 1024);
-    const std::string overload = flags.GetString("overload", "shed");
-    if (overload == "shed") {
-      service_options.overload = hdldp::service::OverloadPolicy::kShed;
-    } else if (overload == "block") {
-      service_options.overload = hdldp::service::OverloadPolicy::kBlock;
-    } else {
-      return Status::InvalidArgument("unknown --overload '" + overload +
-                                     "' (want shed|block)");
-    }
+    service_options.overload =
+        flags.GetChoice("overload", "shed", kOverloads).second;
   }
   service_options.window.width = flags.GetSize("window-width", 1);
   service_options.window.slide = flags.GetSize("window-slide", 0);
@@ -879,9 +841,8 @@ Status RunServe(Flags flags, bool replay) {
   service_options.checkpoint_path = checkpoint;
   service_options.max_invalid_per_tenant =
       flags.GetSize("max-invalid-per-tenant", 0);
-  HDLDP_ASSIGN_OR_RETURN(service_options.snapshot_write_faults,
-                         ParseWriteFaultFlags(&flags));
-  HDLDP_RETURN_NOT_OK(flags.CheckAllConsumed());
+  service_options.snapshot_write_faults = ParseWriteFaultFlags(&flags);
+  HDLDP_RETURN_NOT_OK(flags.Check());
 
   HDLDP_ASSIGN_OR_RETURN(
       hdldp::service::ReportStream stream,
@@ -904,13 +865,15 @@ Status RunServe(Flags flags, bool replay) {
                   "stream %s enc=%s %s n=%llu eps=%.17g m=%zu seed=%llu "
                   "t=%llu rpt=%llu drop=%.17g dup=%.17g reord=%.17g "
                   "delay=%zu fseed=%llu",
-                  workload_name.c_str(),
-                  hdldp::protocol::ReportEncodingName(encoding),
-                  mech_name.c_str(),
-                  static_cast<unsigned long long>(reports), epsilon,
-                  report_dims, static_cast<unsigned long long>(seed),
-                  static_cast<unsigned long long>(tenants),
-                  static_cast<unsigned long long>(reports_per_tick),
+                  workload.first,
+                  hdldp::protocol::ReportEncodingName(stream_options.encoding),
+                  stream_options.mechanism.c_str(),
+                  static_cast<unsigned long long>(stream_options.num_reports),
+                  stream_options.epsilon, stream_options.report_dims,
+                  static_cast<unsigned long long>(stream_options.seed),
+                  static_cast<unsigned long long>(stream_options.num_tenants),
+                  static_cast<unsigned long long>(
+                      stream_options.reports_per_tick),
                   stream_options.faults.drop_rate,
                   stream_options.faults.duplicate_rate,
                   stream_options.faults.reorder_rate,
@@ -919,26 +882,25 @@ Status RunServe(Flags flags, bool replay) {
     service_options.digest_tag = tag;
   }
 
+  const hdldp::service::WindowConfig window = service_options.window;
   HDLDP_ASSIGN_OR_RETURN(
       const auto service,
       hdldp::service::AggregationService::Create(std::move(service_options)));
   std::printf("service workload=%s mechanism=%s reports=%llu tenants=%llu "
               "workers=%zu window=%llu/%llu+%llu\n",
-              workload_name.c_str(), mech_name.c_str(),
-              static_cast<unsigned long long>(reports),
-              static_cast<unsigned long long>(tenants),
+              workload.first, stream_options.mechanism.c_str(),
+              static_cast<unsigned long long>(stream_options.num_reports),
+              static_cast<unsigned long long>(stream_options.num_tenants),
               service->num_workers(),
-              static_cast<unsigned long long>(
-                  flags.GetSize("window-width", 1)),
-              static_cast<unsigned long long>(
-                  flags.GetSize("window-slide", 0)),
-              static_cast<unsigned long long>(
-                  flags.GetSize("window-lateness", 0)));
+              static_cast<unsigned long long>(window.width),
+              static_cast<unsigned long long>(window.slide),
+              static_cast<unsigned long long>(window.lateness));
   if (service->resumed()) {
     std::printf("resumed from checkpoint\n");
     HDLDP_RETURN_NOT_OK(stream.SkipTo(service->resume_cursor()));
   }
 
+  const std::uint64_t reports_per_tick = stream_options.reports_per_tick;
   std::vector<std::uint8_t> envelope;
   std::uint64_t watermark = 0;
   for (;;) {
@@ -975,30 +937,25 @@ Status RunServe(Flags flags, bool replay) {
   }
   HDLDP_RETURN_NOT_OK(service->Drain());
   HDLDP_RETURN_NOT_OK(service->VerifyReconciliation());
-
   const hdldp::service::ServiceStats s = service->Stats();
-  std::printf(
-      "stats submitted=%llu accepted=%llu accepted_payload_bytes=%llu "
-      "deduped=%llu shed_queue_full=%llu "
-      "shed_late=%llu shed_quarantined=%llu rejected_malformed=%llu "
-      "rejected_invalid=%llu rejected_budget=%llu quarantined_tenants=%llu "
-      "failed_snapshots=%llu degraded=%d published_windows=%llu "
-      "published_reports=%llu\n",
-      static_cast<unsigned long long>(s.submitted),
-      static_cast<unsigned long long>(s.accepted),
-      static_cast<unsigned long long>(s.accepted_payload_bytes),
-      static_cast<unsigned long long>(s.deduped),
-      static_cast<unsigned long long>(s.shed_queue_full),
-      static_cast<unsigned long long>(s.shed_late),
-      static_cast<unsigned long long>(s.shed_quarantined),
-      static_cast<unsigned long long>(s.rejected_malformed),
-      static_cast<unsigned long long>(s.rejected_invalid),
-      static_cast<unsigned long long>(s.rejected_budget),
-      static_cast<unsigned long long>(s.quarantined_tenants),
-      static_cast<unsigned long long>(s.failed_snapshots),
-      s.degraded ? 1 : 0,
-      static_cast<unsigned long long>(s.published_windows),
-      static_cast<unsigned long long>(s.published_reports));
+  const std::pair<const char*, std::uint64_t> stats[] = {
+      {"submitted", s.submitted}, {"accepted", s.accepted},
+      {"accepted_payload_bytes", s.accepted_payload_bytes},
+      {"deduped", s.deduped}, {"shed_queue_full", s.shed_queue_full},
+      {"shed_late", s.shed_late}, {"shed_quarantined", s.shed_quarantined},
+      {"rejected_malformed", s.rejected_malformed},
+      {"rejected_invalid", s.rejected_invalid},
+      {"rejected_budget", s.rejected_budget},
+      {"quarantined_tenants", s.quarantined_tenants},
+      {"failed_snapshots", s.failed_snapshots},
+      {"degraded", s.degraded ? 1u : 0u},
+      {"published_windows", s.published_windows},
+      {"published_reports", s.published_reports}};
+  std::printf("stats");
+  for (const auto& [name, value] : stats) {
+    std::printf(" %s=%llu", name, static_cast<unsigned long long>(value));
+  }
+  std::printf("\n");
   std::printf("stream dropped=%llu duplicated=%llu reordered=%llu\n",
               static_cast<unsigned long long>(stream.dropped()),
               static_cast<unsigned long long>(stream.duplicated()),
@@ -1021,13 +978,24 @@ Status RunServe(Flags flags, bool replay) {
   return service->Finish();
 }
 
+// The verbs, in the order the usage line lists them.
+const Choices<Status (*)(Flags)> kVerbs[] = {
+    {"mean", RunMean},
+    {"freq", RunFreq},
+    {"analyze", RunAnalyze},
+    {"variance", RunVariance},
+    {"generate", RunGenerate},
+    {"serve", [](Flags flags) { return RunServe(std::move(flags), false); }},
+    {"replay", [](Flags flags) { return RunServe(std::move(flags), true); }},
+};
+
 void PrintUsage(std::FILE* stream) {
   std::fprintf(stream,
-               "usage: hdldp_cli <mean|freq|analyze|variance|generate|"
-               "serve|replay> [--key=value ...]\n"
+               "usage: hdldp_cli <%s> [--key=value ...]\n"
                "see the header of tools/hdldp_cli.cc for the flag list\n"
                "exit codes: 0 success, 2 usage, 3 invalid configuration, "
-               "4 data loss / I/O failure, 5 resource exhausted\n");
+               "4 data loss / I/O failure, 5 resource exhausted\n",
+               Names(kVerbs).c_str());
 }
 
 // Exit-code contract (pinned by the smoke tests; scripts and CI branch
@@ -1083,28 +1051,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", flags_or.status().ToString().c_str());
     return 2;
   }
-  Status status;
-  if (command == "mean") {
-    status = RunMean(std::move(flags_or).value());
-  } else if (command == "freq") {
-    status = RunFreq(std::move(flags_or).value());
-  } else if (command == "analyze") {
-    status = RunAnalyze(std::move(flags_or).value());
-  } else if (command == "variance") {
-    status = RunVariance(std::move(flags_or).value());
-  } else if (command == "generate") {
-    status = RunGenerate(std::move(flags_or).value());
-  } else if (command == "serve") {
-    status = RunServe(std::move(flags_or).value(), /*replay=*/false);
-  } else if (command == "replay") {
-    status = RunServe(std::move(flags_or).value(), /*replay=*/true);
-  } else {
-    PrintUsage(stderr);
-    return 2;
+  for (const auto& [name, run] : kVerbs) {
+    if (command != name) continue;
+    const Status status = run(std::move(flags_or).value());
+    if (!status.ok()) {
+      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+      return ExitCodeFor(status);
+    }
+    return 0;
   }
-  if (!status.ok()) {
-    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-    return ExitCodeFor(status);
-  }
-  return 0;
+  PrintUsage(stderr);
+  return 2;
 }
