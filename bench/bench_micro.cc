@@ -6,10 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <string_view>
 #include <span>
 #include <vector>
 
@@ -19,16 +16,10 @@
 #include "framework/deviation_model.h"
 #include "framework/value_distribution.h"
 #include "hdr4me/recalibrate.h"
-#include "common/math.h"
-#include "mech/duchi.h"
-#include "mech/hybrid.h"
-#include "mech/piecewise.h"
 #include "mech/plan.h"
-#include "mech/square_wave.h"
 #include "mech/registry.h"
 #include "protocol/aggregator.h"
 #include "protocol/client.h"
-#include "protocol/report.h"
 
 namespace {
 
@@ -202,19 +193,15 @@ void BM_AggregatorConsume(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-// Scalar-vs-batched-vs-planned ingestion: the full client -> aggregator
-// hot path of the simulation pipeline for one block of users. Items
-// processed are perturbed values, so items/s is ingestion throughput and
-// benchmark ratios are the path speedups:
+// Scalar-vs-lane ingestion: the full client -> aggregator hot path of
+// the simulation pipeline for one block of users. Items processed are
+// perturbed values, so items/s is ingestion throughput and benchmark
+// ratios are the path speedups:
 //
-//   IngestScalar  per-value virtual Perturb + per-entry Consume
-//                 (the seed repo's original path);
-//   IngestBatch   PR 1's per-user virtual PerturbBatch, re-deriving the
-//                 eps constants per user block, + ConsumeBatch;
-//   IngestPlan    this PR's path: one prepared plan per experiment, dense
-//                 all-dims reporting, ConsumeDense (expected >= 1.5x
-//                 IngestBatch and >= 4x IngestScalar for the bounded
-//                 mechanisms).
+//   IngestScalar  Client::ReportTo per user + per-entry Consume (the
+//                 loop the kV1Scalar replay runs at m < d);
+//   IngestLanes   the engine's dense lane path: one prepared plan, one
+//                 lane span per block, ConsumeDense.
 constexpr std::size_t kIngestUsers = 256;
 constexpr std::size_t kIngestDims = 64;
 
@@ -250,158 +237,13 @@ void BM_IngestScalar(benchmark::State& state, const char* name) {
                           kIngestUsers * kIngestDims);
 }
 
-// PR 1's per-mechanism PerturbBatch bodies, reproduced from that commit
-// so BM_IngestBatch keeps measuring the historical baseline the plan path
-// is compared against: eps constants hoisted per call (so re-derived per
-// 64-value user block) and the branchy per-value sampling of the original
-// scalar code. Current Mechanism::PerturbBatch routes through MakePlan's
-// branch-free bodies, which would silently modernize the baseline.
-void Pr1PerturbBatch(std::string_view name, std::span<const double> ts,
-                     double eps, hdldp::Rng* rng, std::span<double> out) {
-  using hdldp::Clamp;
-  if (name == "piecewise") {
-    const double s = std::exp(0.5 * eps);
-    const double q = hdldp::mech::PiecewiseMechanism::OutputBound(eps);
-    const double band_mass = s / (s + 1.0);
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-      const double t = Clamp(ts[i], -1.0, 1.0);
-      const double l = 0.5 * (q + 1.0) * t - 0.5 * (q - 1.0);
-      const double r = l + q - 1.0;
-      if (rng->Bernoulli(band_mass)) {
-        out[i] = rng->Uniform(l, r);
-        continue;
-      }
-      const double left_len = l + q;
-      const double u = rng->Uniform(0.0, q + 1.0);
-      out[i] = u < left_len ? -q + u : r + (u - left_len);
-    }
-  } else if (name == "square_wave") {
-    const double b = hdldp::mech::SquareWaveMechanism::HalfWidth(eps);
-    const double e = std::exp(eps);
-    const double window_mass = 2.0 * b * e / (2.0 * b * e + 1.0);
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-      const double t = Clamp(ts[i], 0.0, 1.0);
-      if (rng->Bernoulli(window_mass)) {
-        out[i] = rng->Uniform(t - b, t + b);
-        continue;
-      }
-      const double u = rng->UniformDouble();
-      out[i] = u < t ? -b + u : (t + b) + (u - t);
-    }
-  } else if (name == "duchi") {
-    const double b = hdldp::mech::DuchiMechanism::OutputMagnitude(eps);
-    const double em = std::expm1(eps);
-    const double denom = 2.0 * (std::exp(eps) + 1.0);
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-      const double t = Clamp(ts[i], -1.0, 1.0);
-      out[i] = rng->Bernoulli(0.5 + t * em / denom) ? b : -b;
-    }
-  } else if (name == "hybrid") {
-    const double alpha = hdldp::mech::HybridMechanism::PiecewiseWeight(eps);
-    const double s = std::exp(0.5 * eps);
-    const double q = hdldp::mech::PiecewiseMechanism::OutputBound(eps);
-    const double band_mass = s / (s + 1.0);
-    const double b = hdldp::mech::DuchiMechanism::OutputMagnitude(eps);
-    const double em = std::expm1(eps);
-    const double denom = 2.0 * (std::exp(eps) + 1.0);
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-      const double t = Clamp(ts[i], -1.0, 1.0);
-      if (rng->Bernoulli(alpha)) {
-        const double l = 0.5 * (q + 1.0) * t - 0.5 * (q - 1.0);
-        const double r = l + q - 1.0;
-        if (rng->Bernoulli(band_mass)) {
-          out[i] = rng->Uniform(l, r);
-        } else {
-          const double left_len = l + q;
-          const double u = rng->Uniform(0.0, q + 1.0);
-          out[i] = u < left_len ? -q + u : r + (u - left_len);
-        }
-      } else {
-        out[i] = rng->Bernoulli(0.5 + t * em / denom) ? b : -b;
-      }
-    }
-  } else {
-    std::abort();  // Baseline only reproduced for the captured mechanisms.
-  }
-}
-
-void BM_IngestBatch(benchmark::State& state, const char* name) {
-  // PR 1's batched client loop: per user, sample dimensions, gather
-  // through the domain map, run the PR 1 PerturbBatch body above (eps
-  // constants re-derived per user block), append to the batch.
-  const auto mechanism = hdldp::mech::MakeMechanism(name).value();
-  hdldp::protocol::ClientOptions opts;
-  const auto client =
-      hdldp::protocol::Client::Create(mechanism, kIngestDims, opts).value();
-  const double eps = client.PerDimensionEpsilon();
-  const hdldp::mech::DomainMap& map = client.domain_map();
-  auto agg = hdldp::protocol::MeanAggregator::Create(kIngestDims,
-                                                     client.domain_map())
-                 .value();
-  const std::vector<double> tuples = IngestTuples();
-  hdldp::Rng rng(11);
-  hdldp::protocol::ReportBatch batch;
-  std::vector<std::uint32_t> dims;
-  std::vector<double> natives(kIngestDims);
-  for (auto _ : state) {
-    batch.Clear();
-    for (std::size_t i = 0; i < kIngestUsers; ++i) {
-      dims.clear();
-      rng.SampleWithoutReplacement(kIngestDims, kIngestDims, &dims);
-      for (std::size_t k = 0; k < kIngestDims; ++k) {
-        natives[k] = map.Forward(tuples[i * kIngestDims + dims[k]]);
-      }
-      const std::size_t base = batch.values.size();
-      batch.values.resize(base + kIngestDims);
-      Pr1PerturbBatch(
-          name, natives, eps, &rng,
-          std::span<double>(batch.values).subspan(base, kIngestDims));
-      batch.dimensions.insert(batch.dimensions.end(), dims.begin(),
-                              dims.end());
-    }
-    if (!agg.ConsumeBatch(batch).ok()) {
-      state.SkipWithError("batched ingestion failed");
-      return;
-    }
-  }
-  benchmark::DoNotOptimize(agg.EstimatedMean());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kIngestUsers * kIngestDims);
-}
-
-void BM_IngestPlan(benchmark::State& state, const char* name) {
-  // This PR's ingestion path: the client's plan is prepared once at
-  // Create(), ReportDense skips dimension sampling (m == d) and inlines
-  // the plan body into one loop, ConsumeDense folds whole rows.
-  const auto mechanism = hdldp::mech::MakeMechanism(name).value();
-  hdldp::protocol::ClientOptions opts;
-  const auto client =
-      hdldp::protocol::Client::Create(mechanism, kIngestDims, opts).value();
-  auto agg = hdldp::protocol::MeanAggregator::Create(kIngestDims,
-                                                     client.domain_map())
-                 .value();
-  const std::vector<double> tuples = IngestTuples();
-  hdldp::Rng rng(11);
-  std::vector<double> perturbed(kIngestUsers * kIngestDims);
-  for (auto _ : state) {
-    if (!client.ReportDense(tuples, &rng, perturbed).ok() ||
-        !agg.ConsumeDense(perturbed).ok()) {
-      state.SkipWithError("planned ingestion failed");
-      return;
-    }
-  }
-  benchmark::DoNotOptimize(agg.EstimatedMean());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kIngestUsers * kIngestDims);
-}
-
 void BM_IngestLanes(benchmark::State& state, const char* name) {
   // The v2 lane ingestion path (what engine::ChunkedEstimation's dense
   // driver runs per chunk for both the mean and frequency pipelines):
   // one prepared plan, the whole block gathered through the domain map
   // and perturbed as a single lane span, ConsumeDense folding complete
-  // rows. Pinned against BM_IngestPlan (the PR 2 plan path) for the
-  // per-mechanism lane speedup.
+  // rows. Pinned against BM_IngestScalar for the per-mechanism lane
+  // speedup.
   const auto mechanism = hdldp::mech::MakeMechanism(name).value();
   hdldp::protocol::ClientOptions opts;
   const auto client =
@@ -518,23 +360,14 @@ BENCHMARK(BM_RngUniform);
 BENCHMARK(BM_RngUniformLanes);
 BENCHMARK(BM_AggregatorConsume)->Arg(100)->Arg(10000);
 BENCHMARK_CAPTURE(BM_IngestScalar, laplace, "laplace");
-BENCHMARK_CAPTURE(BM_IngestPlan, laplace, "laplace");
 BENCHMARK_CAPTURE(BM_IngestLanes, laplace, "laplace");
 BENCHMARK_CAPTURE(BM_IngestScalar, piecewise, "piecewise");
-BENCHMARK_CAPTURE(BM_IngestBatch, piecewise, "piecewise");
-BENCHMARK_CAPTURE(BM_IngestPlan, piecewise, "piecewise");
 BENCHMARK_CAPTURE(BM_IngestLanes, piecewise, "piecewise");
 BENCHMARK_CAPTURE(BM_IngestScalar, duchi, "duchi");
-BENCHMARK_CAPTURE(BM_IngestBatch, duchi, "duchi");
-BENCHMARK_CAPTURE(BM_IngestPlan, duchi, "duchi");
 BENCHMARK_CAPTURE(BM_IngestLanes, duchi, "duchi");
 BENCHMARK_CAPTURE(BM_IngestScalar, square_wave, "square_wave");
-BENCHMARK_CAPTURE(BM_IngestBatch, square_wave, "square_wave");
-BENCHMARK_CAPTURE(BM_IngestPlan, square_wave, "square_wave");
 BENCHMARK_CAPTURE(BM_IngestLanes, square_wave, "square_wave");
 BENCHMARK_CAPTURE(BM_IngestScalar, hybrid, "hybrid");
-BENCHMARK_CAPTURE(BM_IngestBatch, hybrid, "hybrid");
-BENCHMARK_CAPTURE(BM_IngestPlan, hybrid, "hybrid");
 BENCHMARK_CAPTURE(BM_IngestLanes, hybrid, "hybrid");
 BENCHMARK(BM_RecalibrateL1)->Arg(1000)->Arg(100000);
 BENCHMARK_CAPTURE(BM_ModelDeviation, piecewise, "piecewise");

@@ -56,17 +56,23 @@ Status CheckChunkIndex(const ChunkSource& source, std::size_t chunk) {
 
 }  // namespace
 
-Result<std::vector<double>> ChunkSource::TrueMean() const {
+Result<std::vector<double>> ChunkSource::SurvivingMean(
+    std::span<const std::size_t> quarantined) const {
   const std::size_t d = num_dims();
-  const std::size_t n = num_users();
-  if (n == 0 || d == 0) {
+  if (num_users() == 0 || d == 0) {
     return Status::FailedPrecondition("TrueMean requires a non-empty source");
+  }
+  const std::size_t n = SurvivingUsers(quarantined);
+  if (n == 0) {
+    return Status::FailedPrecondition(
+        "every chunk was quarantined; no surviving users to estimate");
   }
   // Chunks in order means every column's compensated sum sees users in
   // exactly the order Dataset::TrueMean visits them — same bits.
   std::vector<NeumaierSum> sums(d);
   HDLDP_RETURN_NOT_OK(ForEachSurvivingChunk(
-      *this, {}, [&](std::span<const double> rows, std::size_t users) {
+      *this, quarantined,
+      [&](std::span<const double> rows, std::size_t users) {
         for (std::size_t i = 0; i < users; ++i) {
           const double* row = rows.data() + i * d;
           for (std::size_t j = 0; j < d; ++j) sums[j].Add(row[j]);
@@ -78,6 +84,12 @@ Result<std::vector<double>> ChunkSource::TrueMean() const {
     mean[j] = sums[j].Total() / static_cast<double>(n);
   }
   return mean;
+}
+
+Result<std::vector<double>> ResidentChunkSource::SurvivingMean(
+    std::span<const std::size_t> quarantined) const {
+  if (quarantined.empty()) return dataset_->TrueMean();
+  return ChunkSource::SurvivingMean(quarantined);
 }
 
 Result<std::span<const double>> ResidentChunkSource::Chunk(

@@ -121,13 +121,19 @@ class ChunkSource {
   virtual Result<std::span<const double>> Chunk(std::size_t chunk,
                                                 ChunkBuffer* buffer) const = 0;
 
-  /// \brief Per-dimension mean (the paper's theta-bar) as one streaming
-  /// pass over the chunks in order — per-column compensated sums see
-  /// users in exactly the order Dataset::TrueMean visits them, so the
+  /// \brief Per-dimension mean (the paper's theta-bar) of every user.
+  Result<std::vector<double>> TrueMean() const { return SurvivingMean({}); }
+
+  /// \brief Per-dimension mean of the users outside the `quarantined`
+  /// chunks (sorted ascending; never read): the ground truth of a run
+  /// that skipped them. One streaming pass over the surviving chunks in
+  /// order — per-column compensated sums see users in exactly the order
+  /// Dataset::TrueMean visits them, so with nothing quarantined the
   /// result is bit-identical to the resident computation. Sources with a
-  /// cheaper path (the resident adapter's memoized Dataset pass) may
-  /// override.
-  virtual Result<std::vector<double>> TrueMean() const;
+  /// cheaper path (the resident adapter's memoized Dataset pass) or an
+  /// unfaulted base (the fault injector) override.
+  virtual Result<std::vector<double>> SurvivingMean(
+      std::span<const std::size_t> quarantined) const;
 };
 
 /// \brief Zero-copy adapter over a resident Dataset (non-owning; the
@@ -140,10 +146,10 @@ class ResidentChunkSource final : public ChunkSource {
   std::size_t num_dims() const override { return dataset_->num_dims(); }
   Result<std::span<const double>> Chunk(std::size_t chunk,
                                         ChunkBuffer* buffer) const override;
-  /// Delegates to the dataset's memoized pass (same bits as streaming).
-  Result<std::vector<double>> TrueMean() const override {
-    return dataset_->TrueMean();
-  }
+  /// Without quarantined chunks, delegates to the dataset's memoized
+  /// pass (same bits as streaming).
+  Result<std::vector<double>> SurvivingMean(
+      std::span<const std::size_t> quarantined) const override;
 
  private:
   const Dataset* dataset_;

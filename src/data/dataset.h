@@ -47,8 +47,8 @@ class Dataset {
     return {values_.data() + i * num_dims_, num_dims_};
   }
   /// \brief Contiguous block of `count` whole rows starting at user i
-  /// (row-major, so the block is flat). Feeds Client::ReportBatch without
-  /// copying. Requires i + count <= num_users().
+  /// (row-major, so the block is flat). Backs ResidentChunkSource's
+  /// zero-copy chunks. Requires i + count <= num_users().
   std::span<const double> Rows(std::size_t i, std::size_t count) const {
     return {values_.data() + i * num_dims_, count * num_dims_};
   }

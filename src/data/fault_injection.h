@@ -26,9 +26,9 @@
 // with one SplitMix64 draw per chunk, so tests and CI can name an
 // entire fault pattern with a single integer.
 //
-// The wrapper's TrueMean() delegates to the base source unfaulted:
-// reference passes (diagnostics, recalibration baselines) measure the
-// data, not the injected failure model.
+// The wrapper's SurvivingMean() (and so TrueMean()) delegates to the
+// base source unfaulted: reference passes (diagnostics, recalibration
+// baselines) measure the data, not the injected failure model.
 
 #ifndef HDLDP_DATA_FAULT_INJECTION_H_
 #define HDLDP_DATA_FAULT_INJECTION_H_
@@ -183,8 +183,9 @@ class FaultInjectingChunkSource final : public ChunkSource {
   Result<std::span<const double>> Chunk(std::size_t chunk,
                                         ChunkBuffer* buffer) const override;
   /// Reference passes measure the data, not the failure model.
-  Result<std::vector<double>> TrueMean() const override {
-    return base_->TrueMean();
+  Result<std::vector<double>> SurvivingMean(
+      std::span<const std::size_t> quarantined) const override {
+    return base_->SurvivingMean(quarantined);
   }
 
   /// Pulls observed for `chunk` so far (includes failed attempts).

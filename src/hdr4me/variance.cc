@@ -154,10 +154,13 @@ Result<VarianceEstimationResult> RunVarianceEstimation(
                          ? static_cast<double>(d)
                          : static_cast<double>(options.report_dims);
     const double eps_per_dim = options.total_epsilon / m;
-    const double reports_a = static_cast<double>(values_half.num_users()) *
+    // Reports each half's estimate actually received: quarantined chunks
+    // sent none.
+    const double reports_a = static_cast<double>(mean_run.surviving_users) *
                              m / static_cast<double>(d);
-    const double reports_b = static_cast<double>(squares_half.num_users()) *
-                             m / static_cast<double>(d);
+    const double reports_b =
+        static_cast<double>(square_run.surviving_users) * m /
+        static_cast<double>(d);
     HDLDP_ASSIGN_OR_RETURN(
         result.estimated_mean,
         RecalibrateHalf(values_half, mean_run.quarantined_chunks, *mechanism,

@@ -32,11 +32,6 @@ Status Mechanism::ValidateBudget(double eps) const {
   return Status::OK();
 }
 
-void Mechanism::PerturbBatch(std::span<const double> ts, double eps, Rng* rng,
-                             std::span<double> out) const {
-  PerturbSpan(MakePlan(eps), ts, rng, out);
-}
-
 Status Mechanism::ValidateMomentArgs(double t, double eps) const {
   HDLDP_RETURN_NOT_OK(ValidateBudget(eps));
   const Interval dom = InputDomain();

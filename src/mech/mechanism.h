@@ -137,21 +137,6 @@ class Mechanism {
   /// threads.
   virtual SamplerPlan MakePlan(double eps) const = 0;
 
-  /// \brief Perturbs `ts.size()` inputs at one shared budget, writing
-  /// outputs into `out` (which must hold at least ts.size() entries).
-  ///
-  /// Contract: draws from `rng` in exactly the order of ts.size()
-  /// sequential Perturb() calls and produces bit-identical outputs, so
-  /// scalar and batched ingestion paths are interchangeable under a fixed
-  /// seed. Implemented as MakePlan(eps) + one plan pass, which hoists the
-  /// eps-dependent constants out of the per-value loop; callers running
-  /// many batches at one eps should MakePlan() once and use PerturbSpan()
-  /// to also hoist the plan construction.
-  ///
-  /// REQUIRES: ValidateBudget(eps).ok(); inputs are clamped like Perturb().
-  void PerturbBatch(std::span<const double> ts, double eps, Rng* rng,
-                    std::span<double> out) const;
-
   /// \brief Conditional moments of t* given t at budget eps.
   ///
   /// Closed forms where the paper (or the mechanism's source paper) gives

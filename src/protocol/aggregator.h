@@ -63,11 +63,6 @@ class MeanAggregator {
   Status ConsumeBatch(std::span<const std::uint32_t> dimensions,
                       std::span<const double> values);
 
-  /// \brief Folds every entry of a structure-of-arrays report batch.
-  Status ConsumeBatch(const ReportBatch& batch) {
-    return ConsumeBatch(batch.dimensions, batch.values);
-  }
-
   /// \brief Folds a flat block of scattered entries — same arguments,
   /// same validation and bit-identical per-dimension accumulation order
   /// as ConsumeBatch — but built for the large cross-user blocks of the
@@ -82,10 +77,10 @@ class MeanAggregator {
 
   /// \brief Folds complete user rows: `values` holds whole perturbed
   /// tuples back to back (size a multiple of d, entry k belonging to
-  /// dimension k % d), as produced by Client::ReportDense. Per-dimension
-  /// accumulation order equals the scalar Consume() order, so estimates
-  /// are bit-identical; no per-entry dimension index or bounds check is
-  /// paid.
+  /// dimension k % d), as produced by the engine's dense driver and the
+  /// v1 dense chunk body. Per-dimension accumulation order equals the
+  /// scalar Consume() order, so estimates are bit-identical; no per-entry
+  /// dimension index or bounds check is paid.
   Status ConsumeDense(std::span<const double> values);
 
   /// \brief Folds another aggregator's state in (parallel reduction).

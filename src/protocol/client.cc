@@ -1,6 +1,5 @@
 #include "protocol/client.h"
 
-#include <numeric>
 #include <string>
 
 #include "protocol/budget.h"
@@ -41,91 +40,6 @@ Result<Client> Client::Create(mech::MechanismPtr mechanism,
       mech::DomainMap map,
       mech::DomainMap::Between(options.data_domain, mechanism->InputDomain()));
   return Client(std::move(mechanism), num_dims, m, per_dim, map);
-}
-
-Status Client::ReportBatch(std::span<const double> tuples, Rng* rng,
-                           protocol::ReportBatch* batch) const {
-  if (batch == nullptr) {
-    return Status::InvalidArgument("ReportBatch requires a batch");
-  }
-  if (num_dims_ == 0 || tuples.size() % num_dims_ != 0) {
-    return Status::InvalidArgument(
-        "ReportBatch tuples span has " + std::to_string(tuples.size()) +
-        " values, not a multiple of num_dims " + std::to_string(num_dims_));
-  }
-  const std::size_t users = tuples.size() / num_dims_;
-  const std::size_t value_base = batch->values.size();
-  batch->dimensions.reserve(batch->dimensions.size() + users * report_dims_);
-  batch->values.resize(value_base + users * report_dims_);
-  const std::span<double> out =
-      std::span<double>(batch->values).subspan(value_base);
-
-  if (report_dims_ == num_dims_) {
-    // All dimensions reported: sampling is the no-draw identity, so skip
-    // it and emit each user's dimensions as 0..d-1 directly.
-    const Status dense = ReportDense(tuples, rng, out);
-    if (!dense.ok()) {
-      batch->values.resize(value_base);
-      return dense;
-    }
-    if (scratch_dims_.size() != num_dims_) {
-      scratch_dims_.resize(num_dims_);
-      std::iota(scratch_dims_.begin(), scratch_dims_.end(), 0u);
-    }
-    for (std::size_t i = 0; i < users; ++i) {
-      batch->dimensions.insert(batch->dimensions.end(), scratch_dims_.begin(),
-                               scratch_dims_.end());
-    }
-    return Status::OK();
-  }
-
-  scratch_natives_.resize(report_dims_);
-  for (std::size_t i = 0; i < users; ++i) {
-    const std::span<const double> tuple =
-        tuples.subspan(i * num_dims_, num_dims_);
-    scratch_dims_.clear();
-    rng->SampleWithoutReplacement(num_dims_, report_dims_, &scratch_dims_);
-    for (std::size_t k = 0; k < report_dims_; ++k) {
-      scratch_natives_[k] = domain_map_.Forward(tuple[scratch_dims_[k]]);
-    }
-    mech::PerturbSpan(plan_, scratch_natives_, rng,
-                      out.subspan(i * report_dims_, report_dims_));
-    batch->dimensions.insert(batch->dimensions.end(), scratch_dims_.begin(),
-                             scratch_dims_.end());
-  }
-  return Status::OK();
-}
-
-Status Client::ReportDense(std::span<const double> tuples, Rng* rng,
-                           std::span<double> out) const {
-  if (report_dims_ != num_dims_) {
-    return Status::FailedPrecondition(
-        "ReportDense requires report_dims == num_dims (got m=" +
-        std::to_string(report_dims_) + ", d=" + std::to_string(num_dims_) +
-        ")");
-  }
-  if (tuples.size() % num_dims_ != 0) {
-    return Status::InvalidArgument(
-        "ReportDense tuples span has " + std::to_string(tuples.size()) +
-        " values, not a multiple of num_dims " + std::to_string(num_dims_));
-  }
-  if (out.size() < tuples.size()) {
-    return Status::InvalidArgument("ReportDense output span too small");
-  }
-  // One visit for the whole block: the plan body and the affine domain map
-  // inline into a single tight loop with no per-user bookkeeping. The plan
-  // and map are taken by value so their constants live in registers — the
-  // store through `out` (a double*) would otherwise force the compiler to
-  // re-load every member through `this` per value.
-  const mech::DomainMap map = domain_map_;
-  std::visit(
-      [&, map](const auto plan) {
-        for (std::size_t k = 0; k < tuples.size(); ++k) {
-          out[k] = plan(map.Forward(tuples[k]), rng);
-        }
-      },
-      plan_);
-  return Status::OK();
 }
 
 Result<UserReport> Client::Report(std::span<const double> tuple,

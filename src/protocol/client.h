@@ -62,39 +62,18 @@ class Client {
   /// dispatch on it directly.
   const mech::SamplerPlan& plan() const { return plan_; }
 
-  /// \brief Builds one user's report. `tuple` must have d entries in the
-  /// data domain (values are clamped defensively).
+  /// \brief Builds one user's report: ReportTo() collected into a
+  /// UserReport. `tuple` must have d entries in the data domain (values
+  /// are clamped defensively).
   Result<UserReport> Report(std::span<const double> tuple, Rng* rng) const;
 
-  /// \brief Batched variant of Report(): `tuples` holds whole user tuples
-  /// back to back (size must be a multiple of d) and the resulting
-  /// (dimension, value) entries are appended to `*batch` (Clear() it to
-  /// reuse across blocks).
-  ///
-  /// Consumes `rng` in exactly the order of the equivalent sequence of
-  /// Report() calls and produces bit-identical values, but runs on the
-  /// prepared sampler plan instead of per-value virtual Perturb calls, so
-  /// no eps-dependent constant is recomputed anywhere in the loop. When
-  /// every dimension is reported (m == d) the per-user dimension sampling
-  /// is skipped entirely (it is a no-draw identity in that regime).
-  Status ReportBatch(std::span<const double> tuples, Rng* rng,
-                     protocol::ReportBatch* batch) const;
-
-  /// \brief Densest batched variant, only valid when report_dims() ==
-  /// num_dims(): perturbs whole tuples in place of (dimension, value)
-  /// pairs. `out` must hold tuples.size() entries and receives, in (user,
-  /// dimension) order, the perturbed value of every dimension — entry
-  /// k corresponds to dimension k % d. Consumes `rng` exactly like the
-  /// equivalent Report() sequence (dimension sampling draws nothing when
-  /// m == d), so values are bit-identical to the scalar path. Feed the
-  /// result to MeanAggregator::ConsumeDense.
-  Status ReportDense(std::span<const double> tuples, Rng* rng,
-                     std::span<double> out) const;
-
-  /// \brief Streaming variant: invokes `sink(dimension, perturbed_value)`
-  /// for each of the m sampled dimensions without materializing a report.
-  /// `Sink` must be callable as void(std::uint32_t, double). Draws
-  /// through the prepared plan, bit-identical to per-value Perturb.
+  /// \brief The client's reporting loop: samples m of the d dimensions,
+  /// then invokes `sink(dimension, perturbed_value)` for each in sampling
+  /// order without materializing a report. `Sink` must be callable as
+  /// void(std::uint32_t, double). Draws through the prepared plan,
+  /// bit-identical to per-value Perturb. When m == d the sampling is the
+  /// no-draw identity, so the dimensions arrive as 0..d-1. Writes the
+  /// client's sampling scratch: one Client per thread.
   template <typename Sink>
   void ReportTo(std::span<const double> tuple, Rng* rng, Sink&& sink) const {
     scratch_dims_.clear();
@@ -121,10 +100,9 @@ class Client {
   // Prepared at construction; keeps every eps-only constant out of the
   // reporting hot loops.
   mech::SamplerPlan plan_;
-  // Reused sampling/gather buffers; Client is thread-compatible, not
-  // thread-safe, matching the one-client-per-worker usage of the pipeline.
+  // Reused sampling buffer; Client is thread-compatible, not thread-safe,
+  // matching the one-client-per-worker usage of the pipeline.
   mutable std::vector<std::uint32_t> scratch_dims_;
-  mutable std::vector<double> scratch_natives_;
 };
 
 }  // namespace protocol

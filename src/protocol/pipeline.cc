@@ -14,48 +14,49 @@ namespace protocol {
 
 namespace {
 
-// Users per ReportBatch/ReportDense block in the legacy kV1Scalar chunk
-// body: large enough to amortize per-block overhead, small enough to keep
-// the batch buffer in cache even at high dimensionality.
-constexpr std::size_t kBatchUsers = 64;
+// Users per row block of the dense (m == d) kV1Scalar chunk body: large
+// enough to amortize the ConsumeDense call, small enough to keep the
+// block in cache even at high dimensionality.
+constexpr std::size_t kDenseBlockUsers = 64;
 
-// The legacy kV1Scalar chunk body: one scalar stream per chunk, the
-// ReportDense / ReportBatch draw order of the pre-lane-era pipeline.
-// Frozen so mean estimates recorded under v1 seeds keep their outputs bit
-// for bit (tests/test_engine.cc pins them). `rows` is the chunk's
-// row-major block from the bound source — the same values the old
-// Dataset::Rows reads returned, so the draw sequence is unchanged.
-// `client` is the one validated instance built by RunMeanEstimation; it
-// is copied here (a cheap value copy — shared mechanism pointer, prepared
-// plan, empty scratch) rather than re-running Client::Create's validation
-// per chunk.
+// The legacy kV1Scalar chunk body: one scalar stream per chunk, each user
+// reported in order through Client::ReportTo — the draw order of the
+// pre-lane-era pipeline. Frozen so mean estimates recorded under v1 seeds
+// keep their outputs bit for bit (tests/test_engine.cc pins them). `rows`
+// is the chunk's row-major block from the bound source. `client` is the
+// one validated instance built by NumericPath; it is copied here (a cheap
+// value copy — shared mechanism pointer, prepared plan, empty scratch)
+// because ReportTo writes the client's sampling scratch.
 Status SimulateChunkV1(std::span<const double> rows, std::size_t num_dims,
                        const Client& client, const engine::ChunkRange& range,
                        MeanAggregator* aggregator) {
+  const Client local = client;
   Rng rng(range.chunk_seed);
-  if (client.report_dims() == num_dims) {
-    std::vector<double> dense(
-        std::min(kBatchUsers, range.num_users()) * num_dims);
-    for (std::size_t i = range.begin; i < range.end; i += kBatchUsers) {
-      const std::size_t block = std::min(kBatchUsers, range.end - i);
-      const std::span<double> out =
-          std::span<double>(dense).first(block * num_dims);
-      HDLDP_RETURN_NOT_OK(client.ReportDense(
-          rows.subspan((i - range.begin) * num_dims, block * num_dims), &rng,
-          out));
-      HDLDP_RETURN_NOT_OK(aggregator->ConsumeDense(out));
+  const std::size_t users = range.num_users();
+  if (local.report_dims() < num_dims) {
+    for (std::size_t i = 0; i < users; ++i) {
+      local.ReportTo(rows.subspan(i * num_dims, num_dims), &rng,
+                     [aggregator](std::uint32_t dim, double value) {
+                       aggregator->Consume(dim, value);
+                     });
     }
     return Status::OK();
   }
-  const Client local = client;  // Own scratch buffers for this chunk.
-  ReportBatch batch;
-  for (std::size_t i = range.begin; i < range.end; i += kBatchUsers) {
-    const std::size_t block = std::min(kBatchUsers, range.end - i);
-    batch.Clear();
-    HDLDP_RETURN_NOT_OK(local.ReportBatch(
-        rows.subspan((i - range.begin) * num_dims, block * num_dims), &rng,
-        &batch));
-    HDLDP_RETURN_NOT_OK(aggregator->ConsumeBatch(batch));
+  // Every dimension reported: each user's values fill one whole row, and
+  // ConsumeDense folds a block of rows in the per-dimension order of
+  // entry-by-entry Consume calls (same bits, faster fold).
+  std::vector<double> block(std::min(kDenseBlockUsers, users) * num_dims);
+  for (std::size_t first = 0; first < users; first += kDenseBlockUsers) {
+    const std::size_t count = std::min(kDenseBlockUsers, users - first);
+    for (std::size_t i = 0; i < count; ++i) {
+      double* row = block.data() + i * num_dims;
+      local.ReportTo(rows.subspan((first + i) * num_dims, num_dims), &rng,
+                     [row](std::uint32_t dim, double value) {
+                       row[dim] = value;
+                     });
+    }
+    HDLDP_RETURN_NOT_OK(aggregator->ConsumeDense(
+        std::span<const double>(block).first(count * num_dims)));
   }
   return Status::OK();
 }
@@ -281,7 +282,10 @@ Result<MeanEstimationResult> RunMeanEstimation(const data::ChunkSource& source,
                                                const PipelineOptions& options) {
   HDLDP_ASSIGN_OR_RETURN(MeanEstimationResult result,
                          EstimateMean(source, std::move(mechanism), options));
-  HDLDP_ASSIGN_OR_RETURN(result.true_mean, source.TrueMean());
+  // The truth covers the users the estimate covers: quarantined chunks
+  // are never read again.
+  HDLDP_ASSIGN_OR_RETURN(result.true_mean,
+                         source.SurvivingMean(result.quarantined_chunks));
   HDLDP_ASSIGN_OR_RETURN(
       result.mse, MeanSquaredError(result.estimated_mean, result.true_mean));
   return result;

@@ -49,7 +49,7 @@ namespace protocol {
 /// sampled (m < d) runs batch many users' entries into each lane span.
 /// kV2Lanes replays the per-user sampled lane spans of the first
 /// lane-era releases; kV1Scalar replays the legacy per-chunk scalar
-/// stream (ReportDense / ReportBatch draw order). Under
+/// stream (one Client::ReportTo call per user, in user order). Under
 /// allow_missing_chunks the estimate covers surviving users only
 /// (per-dimension averages already divide by received report counts, so
 /// no post-hoc correction is applied).

@@ -31,27 +31,6 @@ struct UserReport {
   std::vector<DimensionReport> entries;
 };
 
-/// \brief A structure-of-arrays block of report entries from many users,
-/// the batched counterpart of UserReport. Entry k pairs dimensions[k] with
-/// values[k]; users are stored back to back in reporting order. Produced by
-/// Client::ReportBatch and drained by MeanAggregator::ConsumeBatch, which
-/// amortize per-entry virtual dispatch and bookkeeping over the block.
-struct ReportBatch {
-  /// Dimension index of each entry, in [0, d).
-  std::vector<std::uint32_t> dimensions;
-  /// Perturbed value of each entry (mechanism's native output space).
-  std::vector<double> values;
-
-  /// Drops all entries, keeping capacity for reuse across blocks.
-  void Clear() {
-    dimensions.clear();
-    values.clear();
-  }
-
-  /// Number of (dimension, value) entries.
-  std::size_t size() const { return dimensions.size(); }
-};
-
 /// \brief Validates a report against the protocol shape: entry count m,
 /// strictly valid dimension indices, no duplicate dimensions, finite
 /// values within `output_lo`..`output_hi` (pass infinities for unbounded

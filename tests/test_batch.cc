@@ -1,9 +1,8 @@
-// Tests of the batched ingestion path: Mechanism::PerturbBatch,
-// Client::ReportBatch and MeanAggregator::ConsumeBatch must be
-// bit-identical to the scalar path under a fixed seed (the pipeline runs
-// the batched path, so this equivalence is what keeps historical
-// fixed-seed results stable), and ConsumeBatch must reject malformed
-// batches without mutating state.
+// Tests of the batched folds: MeanAggregator::ConsumeBatch and
+// ConsumeScattered must be bit-identical to scalar Consume calls in the
+// same order (the engine's sampled drivers fold through them, so this
+// equivalence is what keeps fixed-seed results stable), and both must
+// reject malformed batches without mutating state.
 
 #include <gtest/gtest.h>
 
@@ -12,112 +11,11 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "mech/registry.h"
 #include "protocol/aggregator.h"
-#include "protocol/client.h"
-#include "protocol/report.h"
 
 namespace hdldp {
 namespace protocol {
 namespace {
-
-mech::MechanismPtr Mech(std::string_view name) {
-  return mech::MakeMechanism(name).value();
-}
-
-// Inputs spread over the mechanism's native domain.
-std::vector<double> NativeInputs(const mech::Mechanism& mechanism,
-                                 std::size_t count) {
-  const mech::Interval domain = mechanism.InputDomain();
-  std::vector<double> ts(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    ts[i] = domain.lo + domain.Width() * static_cast<double>(i) /
-                            static_cast<double>(count - 1);
-  }
-  return ts;
-}
-
-TEST(PerturbBatchTest, BitIdenticalToScalarForEveryMechanism) {
-  for (const auto name : mech::RegisteredMechanismNames()) {
-    SCOPED_TRACE(std::string(name));
-    const auto mechanism = Mech(name);
-    const std::vector<double> ts = NativeInputs(*mechanism, 257);
-    for (const double eps : {0.05, 0.5, 1.0, 4.0}) {
-      Rng scalar_rng(1234);
-      std::vector<double> scalar(ts.size());
-      for (std::size_t i = 0; i < ts.size(); ++i) {
-        scalar[i] = mechanism->Perturb(ts[i], eps, &scalar_rng);
-      }
-      Rng batch_rng(1234);
-      std::vector<double> batched(ts.size());
-      mechanism->PerturbBatch(ts, eps, &batch_rng, batched);
-      for (std::size_t i = 0; i < ts.size(); ++i) {
-        ASSERT_EQ(scalar[i], batched[i]) << "eps=" << eps << " i=" << i;
-      }
-      // Both paths must leave the stream in the same state.
-      EXPECT_EQ(scalar_rng.Next(), batch_rng.Next());
-    }
-  }
-}
-
-TEST(ReportBatchTest, BitIdenticalToSequentialReports) {
-  for (const auto name : mech::RegisteredMechanismNames()) {
-    SCOPED_TRACE(std::string(name));
-    constexpr std::size_t kUsers = 40;
-    constexpr std::size_t kDims = 16;
-    ClientOptions opts;
-    opts.total_epsilon = 2.0;
-    opts.report_dims = 5;
-    const auto client = Client::Create(Mech(name), kDims, opts).value();
-
-    Rng data_rng(7);
-    std::vector<double> tuples(kUsers * kDims);
-    for (double& v : tuples) v = data_rng.Uniform(-1.0, 1.0);
-
-    Rng scalar_rng(99);
-    std::vector<UserReport> reports;
-    for (std::size_t i = 0; i < kUsers; ++i) {
-      reports.push_back(
-          client
-              .Report(std::span<const double>(tuples).subspan(i * kDims, kDims),
-                      &scalar_rng)
-              .value());
-    }
-
-    Rng batch_rng(99);
-    ReportBatch batch;
-    ASSERT_TRUE(client.ReportBatch(tuples, &batch_rng, &batch).ok());
-    ASSERT_EQ(batch.size(), kUsers * opts.report_dims);
-
-    std::size_t k = 0;
-    for (const UserReport& report : reports) {
-      for (const DimensionReport& entry : report.entries) {
-        ASSERT_EQ(entry.dimension, batch.dimensions[k]);
-        ASSERT_EQ(entry.value, batch.values[k]);
-        ++k;
-      }
-    }
-    EXPECT_EQ(scalar_rng.Next(), batch_rng.Next());
-  }
-}
-
-TEST(ReportBatchTest, AppendsAcrossCallsAndValidatesShape) {
-  ClientOptions opts;
-  opts.report_dims = 2;
-  const auto client = Client::Create(Mech("piecewise"), 4, opts).value();
-  std::vector<double> tuples(8, 0.25);
-  Rng rng(5);
-  ReportBatch batch;
-  ASSERT_TRUE(client.ReportBatch(tuples, &rng, &batch).ok());
-  EXPECT_EQ(batch.size(), 4u);  // 2 users x m=2.
-  ASSERT_TRUE(client.ReportBatch(tuples, &rng, &batch).ok());
-  EXPECT_EQ(batch.size(), 8u);  // Appended, not replaced.
-
-  EXPECT_FALSE(client.ReportBatch(std::span<const double>(tuples).first(7),
-                                  &rng, &batch)
-                   .ok());  // Not a multiple of d.
-  EXPECT_FALSE(client.ReportBatch(tuples, &rng, nullptr).ok());
-}
 
 TEST(ConsumeBatchTest, MatchesScalarConsumePlusMergeBitExactly) {
   constexpr std::size_t kDims = 12;
@@ -185,10 +83,9 @@ TEST(ConsumeBatchTest, RejectsMalformedBatchWithoutMutating) {
   EXPECT_FALSE(agg.ConsumeBatch(short_dims, values).ok());  // Size mismatch.
   EXPECT_EQ(agg.TotalReports(), 0);
 
-  ReportBatch batch;
-  batch.dimensions = {0, 2};
-  batch.values = {1.0, -1.0};
-  EXPECT_TRUE(agg.ConsumeBatch(batch).ok());
+  const std::vector<std::uint32_t> good_dims{0, 2};
+  const std::vector<double> good_values{1.0, -1.0};
+  EXPECT_TRUE(agg.ConsumeBatch(good_dims, good_values).ok());
   EXPECT_EQ(agg.TotalReports(), 2);
 }
 

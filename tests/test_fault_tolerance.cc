@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/math.h"
@@ -15,6 +18,8 @@
 #include "data/chunk_source.h"
 #include "data/fault_injection.h"
 #include "data/generators.h"
+#include "data/shard.h"
+#include "hdr4me/recalibrate.h"
 #include "hdr4me/variance.h"
 #include "mech/registry.h"
 #include "protocol/pipeline.h"
@@ -228,6 +233,19 @@ TEST(PipelineFaultTest, QuarantineSkipsFailingChunksAndReportsThem) {
   }
 }
 
+TEST(PipelineFaultTest, EveryChunkQuarantinedLeavesNothingToScore) {
+  const Dataset dataset = TestDataset();
+  const ResidentChunkSource base(&dataset);
+  FaultSchedule::RandomOptions random;
+  random.persistent_rate = 1.0;
+  const FaultInjectingChunkSource faulty(
+      &base, FaultSchedule::Random(3, base.num_chunks(), random));
+  protocol::PipelineOptions opts = BaseOptions();
+  opts.allow_missing_chunks = true;
+  EXPECT_EQ(protocol::RunMeanEstimation(faulty, Mech(), opts).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST(PipelineFaultTest, QuarantinedEstimateMatchesSurvivorsOnlyRun) {
   // Quarantining chunk 2 (the tail) must produce the exact estimate of
   // running the protocol over chunks 0..1 alone: quarantine is a skip,
@@ -246,6 +264,55 @@ TEST(PipelineFaultTest, QuarantinedEstimateMatchesSurvivorsOnlyRun) {
   const auto direct =
       protocol::RunMeanEstimation(survivors, Mech(), BaseOptions()).value();
   EXPECT_EQ(quarantined.estimated_mean, direct.estimated_mean);
+  // The ground truth and score cover the same survivors.
+  EXPECT_EQ(quarantined.true_mean, direct.true_mean);
+  EXPECT_EQ(quarantined.mse, direct.mse);
+}
+
+TEST(PipelineFaultTest, ShardBitFlipQuarantinesAndScoresSurvivorsOnly) {
+  // A flipped payload byte in the shard's tail chunk fails its CRC on
+  // every pull; under allow_missing_chunks the run completes, and
+  // neither the estimate nor the ground truth reads that chunk.
+  const Dataset dataset = TestDataset();
+  const ResidentChunkSource resident(&dataset);
+  const std::string dir = ::testing::TempDir() + "hdldp_fault_shard_flip";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(WriteShards(resident, dir).ok());
+  {
+    // Past the 4096-byte header, 123 bytes into chunk 2's payload.
+    const std::size_t offset =
+        4096 + 2 * kUsersPerChunk * kDims * sizeof(double) + 123;
+    std::fstream part(dir + "/part-00000.hds",
+                      std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(part.good());
+    part.seekg(static_cast<std::streamoff>(offset));
+    char byte = 0;
+    part.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x01);
+    part.seekp(static_cast<std::streamoff>(offset));
+    part.write(&byte, 1);
+    ASSERT_TRUE(part.good());
+  }
+  const auto shard = ShardFileSource::Open(dir);
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+
+  protocol::PipelineOptions opts = BaseOptions();
+  EXPECT_EQ(protocol::RunMeanEstimation(shard.value(), Mech(), opts)
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
+  opts.allow_missing_chunks = true;
+  const auto run = protocol::RunMeanEstimation(shard.value(), Mech(), opts);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->quarantined_chunks, std::vector<std::size_t>{2});
+
+  const SlicedChunkSource survivors(&resident, 0, 2 * kUsersPerChunk);
+  const auto direct =
+      protocol::RunMeanEstimation(survivors, Mech(), BaseOptions()).value();
+  EXPECT_EQ(run->estimated_mean, direct.estimated_mean);
+  EXPECT_EQ(run->true_mean, direct.true_mean);
+  EXPECT_EQ(run->mse, direct.mse);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PipelineFaultTest, VarianceQuarantineNeverRereadsQuarantinedChunks) {
@@ -289,6 +356,26 @@ TEST(PipelineFaultTest, VarianceQuarantineNeverRereadsQuarantinedChunks) {
               squares.Total() / static_cast<double>(survivors.size()))
         << "dim " << j;
   }
+
+  // HDR4ME models each half with the reports it received: the values
+  // half's expected count is its 4096 surviving users (m == d), not the
+  // 4596 it was assigned. L2 shrinkage shows the count in every
+  // dimension; L1 zeroes this noisy estimate under either count.
+  opts.hdr4me.regularizer = hdr4me::Regularizer::kL2;
+  const auto l2_run = hdr4me::RunVarianceEstimation(faulty, Mech(), opts);
+  ASSERT_TRUE(l2_run.ok()) << l2_run.status().ToString();
+  const SlicedChunkSource values_half(&faulty, 0, kUsers / 2);
+  const auto mean_run =
+      protocol::EstimateMean(values_half, Mech(), opts).value();
+  EXPECT_EQ(mean_run.surviving_users, 4096u);
+  const auto deviations =
+      hdr4me::MarginalDeviations(values_half, mean_run.quarantined_chunks,
+                                 *Mech(), mean_run.per_dim_epsilon, 4096.0)
+          .value();
+  const auto expected =
+      hdr4me::Recalibrate(mean_run.estimated_mean, deviations, opts.hdr4me)
+          .value();
+  EXPECT_EQ(l2_run->estimated_mean, expected.enhanced_mean);
 
   // Without the opt-in the same fault fails the run cleanly.
   opts.allow_missing_chunks = false;

@@ -92,8 +92,9 @@ TEST_F(ParallelPipelineTest, BitIdenticalForAnyThreadCount) {
 }
 
 TEST_F(ParallelPipelineTest, DenseAllDimsPathInvariantToThreadCount) {
-  // report_dims = 0 (all d) exercises the ReportDense/ConsumeDense fast
-  // path; it must hold the same thread-count invariance.
+  // report_dims = 0 (all d) exercises the engine's dense
+  // PerturbDenseChunk/ConsumeDense fast path; it must hold the same
+  // thread-count invariance.
   PipelineOptions serial;
   serial.total_epsilon = 8.0;
   serial.seed = 12;

@@ -1,8 +1,8 @@
 // Tests of the prepared sampler plans (mech/plan.h): MakePlan() output
 // must be bit-identical to the scalar Perturb() path for every registered
 // mechanism across an eps grid that includes the tiny per-dimension
-// budgets of high-d runs (eps/m = 0.001), and the dense
-// client/aggregator fast path must match the scalar protocol.
+// budgets of high-d runs (eps/m = 0.001), and the dense aggregator fold
+// must match scalar Consume calls.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +16,6 @@
 #include "mech/plan.h"
 #include "mech/registry.h"
 #include "protocol/aggregator.h"
-#include "protocol/client.h"
-#include "protocol/report.h"
 
 namespace hdldp {
 namespace mech {
@@ -59,12 +57,15 @@ TEST(SamplerPlanTest, BitIdenticalToScalarForEveryMechanism) {
         scalar[i] = mechanism->Perturb(ts[i], eps, &scalar_rng);
       }
 
+      // Every path must leave the stream in the scalar path's state.
+      const std::uint64_t scalar_next = scalar_rng.Next();
+
       // Per-value PerturbOne path.
       Rng one_rng(0x9'1234);
       for (std::size_t i = 0; i < ts.size(); ++i) {
         ASSERT_EQ(scalar[i], PerturbOne(plan, ts[i], &one_rng)) << i;
       }
-      EXPECT_EQ(scalar_rng.Next(), one_rng.Next());
+      EXPECT_EQ(scalar_next, one_rng.Next());
 
       // Whole-span PerturbSpan path.
       Rng span_rng(0x9'1234);
@@ -73,7 +74,7 @@ TEST(SamplerPlanTest, BitIdenticalToScalarForEveryMechanism) {
       for (std::size_t i = 0; i < ts.size(); ++i) {
         ASSERT_EQ(scalar[i], planned[i]) << i;
       }
-      span_rng.Next();  // Match the scalar_rng.Next() drawn above.
+      EXPECT_EQ(scalar_next, span_rng.Next());
     }
   }
 }
@@ -100,71 +101,6 @@ TEST(SamplerPlanTest, PlanIsReusableAcrossCalls) {
 
 namespace protocol {
 namespace {
-
-TEST(ReportDenseTest, BitIdenticalToSequentialReportsForEveryMechanism) {
-  for (const auto name : mech::RegisteredMechanismNames()) {
-    SCOPED_TRACE(std::string(name));
-    constexpr std::size_t kUsers = 32;
-    constexpr std::size_t kDims = 12;
-    ClientOptions opts;
-    opts.total_epsilon = 1.5;
-    opts.report_dims = 0;  // All dimensions: the dense regime.
-    const auto client =
-        Client::Create(mech::MakeMechanism(name).value(), kDims, opts).value();
-
-    Rng data_rng(21);
-    std::vector<double> tuples(kUsers * kDims);
-    for (double& v : tuples) v = data_rng.Uniform(-1.0, 1.0);
-
-    Rng scalar_rng(314);
-    std::vector<double> scalar;
-    for (std::size_t i = 0; i < kUsers; ++i) {
-      const auto report =
-          client
-              .Report(std::span<const double>(tuples).subspan(i * kDims, kDims),
-                      &scalar_rng)
-              .value();
-      ASSERT_EQ(report.entries.size(), kDims);
-      for (std::size_t k = 0; k < kDims; ++k) {
-        // Scalar sampling with m == d emits dimensions in ascending order.
-        ASSERT_EQ(report.entries[k].dimension, k);
-        scalar.push_back(report.entries[k].value);
-      }
-    }
-
-    Rng dense_rng(314);
-    std::vector<double> dense(kUsers * kDims);
-    ASSERT_TRUE(client.ReportDense(tuples, &dense_rng, dense).ok());
-    for (std::size_t k = 0; k < scalar.size(); ++k) {
-      ASSERT_EQ(scalar[k], dense[k]) << k;
-    }
-    EXPECT_EQ(scalar_rng.Next(), dense_rng.Next());
-  }
-}
-
-TEST(ReportDenseTest, ValidatesShapeAndRegime) {
-  ClientOptions opts;
-  const auto all_dims =
-      Client::Create(mech::MakeMechanism("piecewise").value(), 4, opts)
-          .value();
-  std::vector<double> tuples(8, 0.5);
-  std::vector<double> out(8);
-  Rng rng(1);
-  EXPECT_TRUE(all_dims.ReportDense(tuples, &rng, out).ok());
-  EXPECT_FALSE(all_dims
-                   .ReportDense(std::span<const double>(tuples).first(7), &rng,
-                                out)
-                   .ok());  // Not a multiple of d.
-  EXPECT_FALSE(all_dims
-                   .ReportDense(tuples, &rng, std::span<double>(out).first(4))
-                   .ok());  // Output too small.
-
-  opts.report_dims = 2;
-  const auto sampled =
-      Client::Create(mech::MakeMechanism("piecewise").value(), 4, opts)
-          .value();
-  EXPECT_FALSE(sampled.ReportDense(tuples, &rng, out).ok());  // m < d.
-}
 
 TEST(ConsumeDenseTest, MatchesScalarConsumeBitExactly) {
   constexpr std::size_t kDims = 7;

@@ -579,7 +579,8 @@ Status RunMean(Flags flags) {
     std::printf("recalibration skipped: hadamard1 has no value mechanism\n");
     return Status::OK();
   }
-  const double reports = static_cast<double>(users) *
+  // Reports the estimate received: quarantined chunks sent none.
+  const double reports = static_cast<double>(run.surviving_users) *
                          static_cast<double>(m) / static_cast<double>(dims);
   HDLDP_ASSIGN_OR_RETURN(
       const std::vector<hdldp::framework::GaussianDeviation> deviations,
